@@ -189,6 +189,8 @@ def _cmd_check_rric(args):
 def _cmd_check_patterns(args):
     if args.ell not in (1, 2, 3):
         raise ValidationError("ell must be 1, 2 or 3")
+    if args.rows < 1 or args.cols < 1:
+        raise ValidationError("--rows and --cols must be >= 1")
     rng = sub_rng(args.seed, DOMAIN_SAMPLE, 0)
     w = rng.standard_normal((args.rows, args.cols))
     basis = rng.standard_normal((args.cols, args.ell))

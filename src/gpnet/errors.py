@@ -18,6 +18,10 @@ class DivergenceError(RuntimeError):
             message = f"solve diverged at iteration {self.iteration}"
         super().__init__(message)
 
+    def __reduce__(self):
+        # pickle rebuilds from (iteration, message), not from self.args
+        return type(self), (self.iteration, str(self))
+
 
 class InfeasibleError(RuntimeError):
     """No parameter value satisfies the requested constraints."""

@@ -16,17 +16,23 @@ iterate whenever f(-x) < f(x), then steps along the subgradient
 Lambda_x^T (...) with rate alpha = c_step 2^d / d^2.  For wide enough
 random nets the distance to x_star contracts like 1 - (7/8) alpha / 2^d
 per step until the noise floor.
+
+An iteration costs three sweeps through the net: one forward sweep at x
+and one at -x, each giving the loss, the layer outputs (hence the relu
+masks) and the outer residual, then one transposed sweep on the winner's
+masks for the subgradient.  The winner's sweep also supplies G(x) for the
+trace row, and the final iterate costs one more forward sweep.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import io
 import math
+import os
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .net import (GenerativeNet, apply_masked_t, forward, load_net,
-                  preactivations, save_net)
+from .net import GenerativeNet, apply_masked_t, forward, load_net, save_net
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng
 
 KINDS = ("CS", "PR", "DEN", "SPIKED_WISHART", "SPIKED_WIGNER")
@@ -67,8 +73,8 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
     sigma = float(sigma)
-    if sigma < 0.0:
-        raise ValidationError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValidationError("sigma must be finite and nonnegative")
 
     if x_star is None:
         rng = sub_rng(seed, DOMAIN_INSTANCE, _X_STAR)
@@ -101,9 +107,14 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
             eta = np.asarray(eta, dtype=np.float64)
             if eta.shape != (noise_dim,):
                 raise ValidationError(f"eta must have length {noise_dim}")
+            if not np.all(np.isfinite(eta)):
+                raise ValidationError("eta contains non-finite entries")
         elif eta_norm is not None:
+            eta_norm = float(eta_norm)
+            if not (math.isfinite(eta_norm) and eta_norm >= 0.0):
+                raise ValidationError("eta_norm must be finite and nonnegative")
             eta = sub_rng(seed, DOMAIN_INSTANCE, _ETA).standard_normal(noise_dim)
-            eta *= float(eta_norm) / np.linalg.norm(eta)
+            eta *= eta_norm / np.linalg.norm(eta)
         elif sigma > 0.0:
             eta = sigma * sub_rng(seed, DOMAIN_INSTANCE, _ETA).standard_normal(noise_dim)
         else:
@@ -137,23 +148,42 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
                     seed=int(seed))
 
 
+def _evaluate(inst, x):
+    """(loss, layer outputs, outer residual, A G(x) or None) from one sweep at x."""
+    outs = forward(inst.net, x)
+    g, ag = outs[-1], None
+    if inst.kind in ("CS", "PR"):
+        ag = inst.a @ g
+        r = inst.b - (ag if inst.kind == "CS" else np.abs(ag))
+    elif inst.kind == "DEN":
+        r = inst.b - g
+    else:
+        r = inst.m_obs - np.outer(g, g)
+    return 0.5 * float(np.sum(r * r)), outs, r, ag
+
+
+def _subgradient_at(inst, outs, r, ag):
+    """Lambda_x^T w from an _evaluate result, in one transposed sweep."""
+    if inst.kind == "CS":
+        w = inst.a.T @ (ag - inst.b)
+    elif inst.kind == "PR":
+        w = inst.a.T @ (np.sign(ag) * (np.abs(ag) - inst.b))
+    elif inst.kind == "DEN":
+        w = outs[-1] - inst.b
+    else:
+        w = -2.0 * r @ outs[-1]
+    # relu(z) > 0 exactly when z > 0, so the outputs carry the masks
+    return apply_masked_t(inst.net, [o > 0.0 for o in outs[1:]], w)
+
+
 def loss(inst, x):
     """Objective value of the instance's model at latent x.
 
     Overflow deliberately propagates as inf (the solver turns it into a
     DivergenceError) instead of warning.
     """
-    g = forward(inst.net, x)[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        if inst.kind == "CS":
-            r = inst.b - inst.a @ g
-        elif inst.kind == "PR":
-            r = inst.b - np.abs(inst.a @ g)
-        elif inst.kind == "DEN":
-            r = inst.b - g
-        else:
-            r = inst.m_obs - np.outer(g, g)
-        return 0.5 * float(np.sum(r * r))
+        return _evaluate(inst, x)[0]
 
 
 def subgradient(inst, x):
@@ -163,19 +193,8 @@ def subgradient(inst, x):
     outer residual at G(x); sign(0) = 0 resolves the PR kink and the
     relu kinks are resolved by the mask convention.
     """
-    masks = [z > 0.0 for z in preactivations(inst.net, x)]
-    g = forward(inst.net, x)[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        if inst.kind == "CS":
-            w = inst.a.T @ (inst.a @ g - inst.b)
-        elif inst.kind == "PR":
-            z = inst.a @ g
-            w = inst.a.T @ (np.sign(z) * (np.abs(z) - inst.b))
-        elif inst.kind == "DEN":
-            w = g - inst.b
-        else:
-            w = -2.0 * (inst.m_obs - np.outer(g, g)) @ g
-        return apply_masked_t(inst.net, masks, w)
+        return _subgradient_at(inst, *_evaluate(inst, x)[1:])
 
 
 @dataclass(frozen=True)
@@ -186,6 +205,7 @@ class SolverConfig:
     starting point.  x0_mode 'gaussian_unit' draws a uniform unit latent
     from the solver sub-stream of seed; 'provided' uses x0.
     trace_stride > 0 stores every stride-th iterate in the trace.
+    Equality compares x0 by value.
     """
 
     c_step: float = 0.2
@@ -207,6 +227,15 @@ class SolverConfig:
             raise ValidationError(f"unknown x0_mode {self.x0_mode!r}")
         if self.x0_mode == "provided" and self.x0 is None:
             raise ValidationError("x0_mode 'provided' needs x0")
+        if int(self.trace_stride) < 0:
+            raise ValidationError("trace_stride must be >= 0")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.x0, other.x0) and all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self) if f.name != "x0")
 
 
 @dataclass(frozen=True)
@@ -281,44 +310,38 @@ def solve(inst, cfg):
     stop_reason = "t_max"
     steps = 0
 
-    def record(t, x_cur, f_cur, neg):
-        rows.append((t, f_cur,
-                     float(np.linalg.norm(x_cur - inst.x_star)),
-                     float(np.linalg.norm(forward(inst.net, x_cur)[-1] - inst.y_star)),
-                     neg))
+    def record(t, x_cur, ev, neg):
+        rows.append((t, ev[0], float(np.linalg.norm(x_cur - inst.x_star)),
+                     float(np.linalg.norm(ev[1][-1] - inst.y_star)), neg))
 
-    for t in range(int(cfg.t_max)):
-        f_pos = loss(inst, x)
-        f_neg = loss(inst, -x)
-        if not (math.isfinite(f_pos) and math.isfinite(f_neg)):
-            raise DivergenceError(t)
-        if f_neg < f_pos:
-            x = -x
-            f_cur = f_neg
-            negations.append(t)
-            neg = 1
-        else:
-            f_cur = f_pos
-            neg = 0
-        record(t, x, f_cur, neg)
-        if cfg.trace_stride > 0 and t % cfg.trace_stride == 0:
-            stored.append((t, x.copy()))
-        v = subgradient(inst, x)
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(t)
-        x_new = x - alpha * v
-        step = float(np.linalg.norm(x_new - x))
-        base = float(np.linalg.norm(x))
-        x = x_new
-        steps = t + 1
-        if step <= cfg.rel_step_tol * base:
-            stop_reason = "step_tol"
-            break
-
-    f_fin = loss(inst, x)
-    if not math.isfinite(f_fin) or not np.all(np.isfinite(x)):
-        raise DivergenceError(steps)
-    record(steps, x, f_fin, 0)
+    # overflow becomes inf, which the finiteness checks turn into errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(int(cfg.t_max)):
+            ev = _evaluate(inst, x)
+            ev_neg = _evaluate(inst, -x)
+            if not (math.isfinite(ev[0]) and math.isfinite(ev_neg[0])):
+                raise DivergenceError(t)
+            neg = int(ev_neg[0] < ev[0])
+            if neg:
+                x, ev = -x, ev_neg
+                negations.append(t)
+            del ev_neg  # only the winner's residual stays alive
+            record(t, x, ev, neg)
+            if cfg.trace_stride > 0 and t % cfg.trace_stride == 0:
+                stored.append((t, x.copy()))
+            x_new = x - alpha * _subgradient_at(inst, *ev[1:])
+            if not np.all(np.isfinite(x_new)):
+                raise DivergenceError(t)
+            small = np.linalg.norm(x_new - x) <= cfg.rel_step_tol * np.linalg.norm(x)
+            x = x_new
+            steps = t + 1
+            if small:
+                stop_reason = "step_tol"
+                break
+        ev = _evaluate(inst, x)
+        if not math.isfinite(ev[0]):
+            raise DivergenceError(steps)
+        record(steps, x, ev, 0)
 
     arr = np.asarray(rows, dtype=np.float64)
     ns = float(np.linalg.norm(inst.x_star))
@@ -328,7 +351,7 @@ def solve(inst, cfg):
         signal_err=arr[:, 3], negated=arr[:, 4].astype(np.int8),
         negations=tuple(negations), n_steps=steps, alpha=alpha,
         contraction=contraction, stop_reason=stop_reason, final_x=x,
-        final_f=f_fin, final_latent_err=float(arr[-1, 2]),
+        final_f=ev[0], final_latent_err=float(arr[-1, 2]),
         final_signal_err=float(arr[-1, 3]),
         final_rel_latent_err=float(arr[-1, 2]) / ns if ns > 0 else float("nan"),
         final_rel_signal_err=float(arr[-1, 3]) / ny if ny > 0 else float("nan"),
@@ -353,18 +376,27 @@ def _write_opt(f, arr):
     a.tofile(f)
 
 
+def _read_exact(f, n):
+    """n bytes of f, checked against the bytes left before reading."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise ValidationError("truncated instance file")
+    return f.read(n)
+
+
 def _read_opt(f):
-    flag = f.read(1)
+    flag = _read_exact(f, 1)
     if flag == b"\x00":
         return None
     if flag != b"\x01":
         raise ValidationError("corrupt instance file (bad presence flag)")
-    nd = int(np.frombuffer(f.read(4), dtype="<i4")[0])
-    shape = tuple(int(v) for v in np.frombuffer(f.read(4 * nd), dtype="<i4"))
-    count = int(np.prod(shape)) if shape else 1
-    raw = f.read(8 * count)
-    if len(raw) != 8 * count:
-        raise ValidationError("truncated instance file")
+    nd = int(np.frombuffer(_read_exact(f, 4), dtype="<i4")[0])
+    if not 0 <= nd <= 2:
+        raise ValidationError(f"corrupt instance file (array rank {nd})")
+    shape = tuple(int(v) for v in np.frombuffer(_read_exact(f, 4 * nd), dtype="<i4"))
+    if any(n < 0 for n in shape):
+        raise ValidationError(f"corrupt instance file (array shape {shape})")
+    count = math.prod(shape)
+    raw = _read_exact(f, 8 * count)
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
@@ -387,11 +419,11 @@ def load_instance(path, net_path):
     with open(path, "rb") as f:
         if f.read(len(_INST_MAGIC)) != _INST_MAGIC:
             raise ValidationError(f"{path} is not an instance file")
-        kind = f.read(16).rstrip(b"\x00").decode()
+        kind = _read_exact(f, 16).rstrip(b"\x00").decode(errors="replace")
         if kind not in KINDS:
             raise ValidationError(f"unknown kind {kind!r} in instance file")
-        sigma = float(np.frombuffer(f.read(8), dtype="<f8")[0])
-        n_samples, seed = (int(v) for v in np.frombuffer(f.read(16), dtype="<i8"))
+        sigma = float(np.frombuffer(_read_exact(f, 8), dtype="<f8")[0])
+        n_samples, seed = (int(v) for v in np.frombuffer(_read_exact(f, 16), dtype="<i8"))
         x_star = _read_opt(f)
         a = _read_opt(f)
         b = _read_opt(f)

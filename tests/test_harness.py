@@ -331,3 +331,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--kind", "CS", "--m", "10"]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_rejects_bad_sizes_and_stride(tmp_path, capsys):
+    for rows, cols in (("0", "5"), ("-2", "5"), ("5", "0")):
+        assert main(["check-patterns", "--rows", rows, "--cols", cols]) == 1
+    out = tmp_path / "trace.csv"
+    assert main(["solve", "--dims", "4,20,10", "--kind", "DEN", "--t-max", "3",
+                 "--trace-stride", "-5", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.count("error:") == 4

@@ -1,10 +1,13 @@
 import csv
 import io
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
 
+from gpnet import solvers
 from gpnet.errors import DivergenceError, ValidationError
 from gpnet.net import GenerativeNet, forward, sample_gaussian_net
 from gpnet.solvers import (Instance, SolverConfig, SolveTrace, load_instance, loss,
@@ -62,6 +65,22 @@ def test_eta_norm_is_exact():
     inst = make_instance("CS", net, m=30, seed=2, eta_norm=0.125)
     assert abs(np.linalg.norm(inst.eta) - 0.125) < 1e-12
     assert np.array_equal(inst.b, inst.a @ inst.y_star + inst.eta)
+
+
+def test_make_instance_rejects_non_finite_noise():
+    net = small_net()
+    with pytest.raises(ValidationError):
+        make_instance("CS", net, m=20, eta=np.full(20, np.nan))
+    with pytest.raises(ValidationError):
+        make_instance("DEN", net, eta=np.full(30, np.inf))
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            make_instance("CS", net, m=20, sigma=sigma)
+        with pytest.raises(ValidationError):
+            make_instance("SPIKED_WIGNER", net, sigma=sigma)
+    for eta_norm in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValidationError):
+            make_instance("DEN", net, eta_norm=eta_norm)
 
 
 def test_wishart_sigma_zero_is_scaled_rank_one():
@@ -169,6 +188,20 @@ def test_config_validation():
         SolverConfig(x0_mode="provided")
 
 
+def test_config_rejects_negative_trace_stride():
+    with pytest.raises(ValidationError):
+        SolverConfig(trace_stride=-5)
+
+
+def test_config_equality_with_array_start():
+    cfg = SolverConfig(x0_mode="provided", x0=np.ones(5))
+    assert cfg == SolverConfig(x0_mode="provided", x0=np.ones(5))
+    assert cfg != SolverConfig(x0_mode="provided", x0=np.zeros(5))
+    assert cfg != SolverConfig(x0_mode="provided", x0=np.ones(5), seed=1)
+    assert cfg != SolverConfig()
+    assert SolverConfig(t_max=7) == SolverConfig(t_max=7)
+
+
 def test_alpha_and_contraction_fields():
     net = small_net()
     inst = make_instance("DEN", net, seed=0)
@@ -256,6 +289,118 @@ def test_divergence_error_names_iteration():
     assert "iteration" in str(exc.value)
 
 
+@pytest.mark.parametrize("kind,kwargs", [
+    ("CS", {"m": 40}),
+    ("PR", {"m": 40}),
+    ("DEN", {}),
+    ("SPIKED_WISHART", {"n_samples": 50, "sigma": 0.1}),
+    ("SPIKED_WIGNER", {"sigma": 0.1}),
+])
+@pytest.mark.parametrize("c_step", [1e3, 1e15, 1e300])
+def test_divergence_raises_without_warnings(kind, kwargs, c_step):
+    inst = make_instance(kind, small_net(), seed=0, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            solve(inst, SolverConfig(c_step=c_step, t_max=500, seed=0))
+
+
+def test_divergence_error_pickles():
+    for err in (DivergenceError(3), DivergenceError(4, "custom message")):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergenceError
+        assert back.iteration == err.iteration and str(back) == str(err)
+
+
+def _reference_solve(inst, cfg):
+    """The negation loop spelled out with six sweeps per iteration: loss at
+    x and -x, a forward pass for the trace row, and subgradient (its own
+    forward and transposed passes).  Returns (csv text, x_T, stored)."""
+    d = inst.net.depth
+    alpha = cfg.c_step * 2.0 ** d / d ** 2
+    x = np.asarray(cfg.x0, dtype=np.float64).copy()
+    lines = ["iter,f,latent_err,signal_err,negated\n"]
+    stored = []
+
+    def row(t, f, neg):
+        le = float(np.linalg.norm(x - inst.x_star))
+        se = float(np.linalg.norm(forward(inst.net, x)[-1] - inst.y_star))
+        lines.append(f"{t},{f!r},{le!r},{se!r},{neg}\n")
+
+    steps = 0
+    for t in range(cfg.t_max):
+        f_pos, f_neg = loss(inst, x), loss(inst, -x)
+        neg = int(f_neg < f_pos)
+        if neg:
+            x = -x
+        row(t, f_neg if neg else f_pos, neg)
+        if cfg.trace_stride > 0 and t % cfg.trace_stride == 0:
+            stored.append((t, x.copy()))
+        x_new = x - alpha * subgradient(inst, x)
+        small = np.linalg.norm(x_new - x) <= cfg.rel_step_tol * np.linalg.norm(x)
+        x = x_new
+        steps = t + 1
+        if small:
+            break
+    row(steps, loss(inst, x), 0)
+    return "".join(lines), x, stored
+
+
+_EVERY_KIND = [
+    ("CS", {"m": 40, "sigma": 0.05}, 0.2),
+    ("PR", {"m": 60, "sigma": 0.05}, 0.2),
+    ("DEN", {"eta_norm": 0.1}, 0.2),
+    ("SPIKED_WISHART", {"n_samples": 300, "sigma": 0.1}, 1.0),
+    ("SPIKED_WIGNER", {"sigma": 0.1}, 1.0),
+]
+
+
+@pytest.mark.parametrize("kind,kwargs,c_step", _EVERY_KIND)
+@pytest.mark.parametrize("start", ["random", "reflected"])
+def test_solve_matches_six_sweep_reference(kind, kwargs, c_step, start):
+    # solve shares one forward sweep per sign between loss, trace row and
+    # subgradient; the bytes must equal the loop that recomputes each one
+    net = small_net(seed=3)
+    inst = make_instance(kind, net, seed=5, **kwargs)
+    if start == "random":
+        x0 = np.random.default_rng(8).standard_normal(net.k)
+    else:  # near -x_star, so the sign flip fires at once
+        x0 = -1.2 * inst.x_star + 0.05 * np.random.default_rng(9).standard_normal(net.k)
+    cfg = SolverConfig(c_step=c_step, t_max=80, x0_mode="provided", x0=x0,
+                       trace_stride=3)
+    tr = solve(inst, cfg)
+    text, x_fin, stored = _reference_solve(inst, cfg)
+    if start == "reflected":
+        assert tr.negations[:1] == (0,)
+    assert tr.csv_text() == text
+    assert tr.final_x.tobytes() == x_fin.tobytes()
+    assert len(tr.stored_iterates) == len(stored)
+    for (t1, x1), (t2, x2) in zip(tr.stored_iterates, stored):
+        assert t1 == t2 and x1.tobytes() == x2.tobytes()
+
+
+@pytest.mark.parametrize("kind,kwargs,c_step", _EVERY_KIND)
+def test_solve_sweeps_per_iteration(kind, kwargs, c_step, monkeypatch):
+    # two forward sweeps (x and -x) and one transposed sweep per iteration,
+    # plus one forward sweep for the final iterate
+    calls = {"forward": 0, "apply_masked_t": 0}
+
+    def counted(name):
+        fn = getattr(solvers, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    inst = make_instance(kind, small_net(seed=3), seed=5, **kwargs)
+    for name in calls:
+        monkeypatch.setattr(solvers, name, counted(name))
+    tr = solve(inst, SolverConfig(c_step=c_step, t_max=25, rel_step_tol=0.0, seed=2))
+    assert tr.n_steps == 25
+    assert calls == {"forward": 2 * 25 + 1, "apply_masked_t": 25}
+
+
 def test_cs_recovery_single_seed():
     net = sample_gaussian_net((8, 250, 600), seed=0)
     inst = make_instance("CS", net, m=150, seed=0)
@@ -322,3 +467,15 @@ def test_instance_load_rejects_garbage(tmp_path):
     save_net(net, npth)
     with pytest.raises(ValidationError):
         load_instance(p, npth)
+
+
+def test_instance_load_rejects_every_truncation(tmp_path):
+    net = sample_gaussian_net((2, 3, 4), seed=0)
+    ip, npth = tmp_path / "i.gpi", tmp_path / "n.gpn"
+    save_instance(make_instance("CS", net, m=2, sigma=0.1, seed=0), ip, npth)
+    raw = ip.read_bytes()
+    cut = tmp_path / "cut.gpi"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ValidationError):
+            load_instance(cut, npth)
