@@ -14,7 +14,7 @@ from .geometry import (AngleProfile, DistortionMatrix, angle_between, angle_prof
 from .harness import (ExperimentSpec, experiment_csv_text, parse_experiment_config,
                       run_condition_suite, run_experiment, summary_csv_text,
                       write_experiment_csvs)
-from .net import (DimsRecipe, GenerativeNet, LinearPath, apply_masked, apply_masked_t,
+from .net import (DimsRecipe, GenerativeNet, LinearPath, apply_masked_t,
                   contractive_example_dims, forward, linear_path, load_net,
                   preactivations, sample_gaussian_net, save_net)
 from .solvers import (KINDS, Instance, SolverConfig, SolveTrace, load_instance,

@@ -17,8 +17,9 @@ from .conditions import (log_piece_count_bounds, pattern_count_exact,
                          r2wdc_deviation, reports_csv_text, rric_deviation,
                          wdc_deviation, write_reports_csv)
 from .errors import DivergenceError, InfeasibleError, ValidationError
-from .harness import (default_jobs, parse_experiment_config, run_condition_suite,
-                      run_experiment, summary_path_for, write_experiment_csvs)
+from .harness import (_parse_recipe, default_jobs, parse_experiment_config,
+                      run_condition_suite, run_experiment, summary_path_for,
+                      write_experiment_csvs)
 from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
 from .rng import DOMAIN_INSTANCE, DOMAIN_SAMPLE, sub_rng
 from .solvers import KINDS, SolverConfig, make_instance, solve
@@ -42,23 +43,6 @@ def _parse_dims(text):
     return dims
 
 
-def _parse_recipe_flag(text):
-    kv = {}
-    for tok in text.replace(",", " ").split():
-        key, eq, val = tok.partition("=")
-        if not eq:
-            raise ValidationError(f"bad recipe token {tok!r}, expected key=value")
-        kv[key.strip()] = float(val)
-    extra = set(kv) - {"k", "d", "c_bar", "alpha_floor"}
-    if extra:
-        raise ValidationError(f"unknown recipe keys {sorted(extra)}")
-    if "k" not in kv or "d" not in kv:
-        raise ValidationError("recipe needs at least k and d")
-    return contractive_example_dims(k=int(kv["k"]), d=int(kv["d"]),
-                                    c_bar=kv.get("c_bar", 2.0),
-                                    alpha_floor=kv.get("alpha_floor", 1.0))
-
-
 def _add_net_source(p):
     p.add_argument("--net", help="path to a saved network file")
     p.add_argument("--dims", help="comma separated dims, e.g. 8,250,600")
@@ -79,7 +63,7 @@ def _net_from_args(args):
         net = sample_gaussian_net(_parse_dims(args.dims), args.net_seed)
         recipe = None
     else:
-        recipe = _parse_recipe_flag(args.recipe)
+        recipe = _parse_recipe(args.recipe)
         net = sample_gaussian_net(recipe.dims, args.net_seed)
     return net, recipe
 

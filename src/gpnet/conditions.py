@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import angle_between, angle_profile, g_theta, q_matrix, spectral_norm
 from .net import apply_masked_t, forward, linear_path, preactivations
-from .rng import DOMAIN_SAMPLE, sub_rng
+from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
 
 CONDITION_KINDS = ("WDC", "R2WDC", "RRIC", "NOISE", "LAMBDA_CONC",
                    "PATTERN_COUNT", "NORM_ANGLE")
@@ -112,14 +112,6 @@ def write_reports_csv(reports, path):
 # masked-Gram deviations
 # ---------------------------------------------------------------------------
 
-def _unit_sphere(rng, n):
-    while True:
-        v = rng.standard_normal(n)
-        nv = np.linalg.norm(v)
-        if nv > 0.0:
-            return v / nv
-
-
 def masked_gram_deviation(w, r, s):
     """|| W_{+,r}^T W_{+,s} - Q_{r,s} || for one direction pair."""
     w = np.asarray(w, dtype=np.float64)
@@ -147,8 +139,8 @@ def wdc_deviation(w, samples, seed, layer=1):
     vals = []
     for j in range(samples):
         rng = sub_rng(seed, DOMAIN_SAMPLE, j)
-        r = _unit_sphere(rng, n)
-        s = _unit_sphere(rng, n)
+        r = unit_vector(rng, n)
+        s = unit_vector(rng, n)
         vals.append(masked_gram_deviation(w, r, s))
     vals = np.asarray(vals)
     return ConditionReport(kind="WDC", layers=(int(layer),),
@@ -318,7 +310,7 @@ def noise_coupling(net, a, eta, samples, seed):
     for j in range(samples):
         rng = sub_rng(seed, DOMAIN_SAMPLE, j)
         x = rng.standard_normal(net.k)
-        masks = [z > 0.0 for z in preactivations(net, x)]
+        masks = [o > 0.0 for o in forward(net, x)[1:]]
         w = apply_masked_t(net, masks, at_eta)
         inner_max = max(inner_max, abs(float(np.dot(x, w)))
                         / (n_eta * float(np.linalg.norm(x))))
@@ -482,7 +474,7 @@ def _patterns_ell3(p):
     # fixed-seed jitter as a safety net on top of the deterministic walks
     rng = sub_rng(1729, DOMAIN_SAMPLE, 0)
     for _ in range(_PATTERN_JITTER):
-        witnesses.append(_unit_sphere(rng, 3))
+        witnesses.append(unit_vector(rng, 3))
 
     pats = set()
     for t in witnesses:
@@ -684,7 +676,7 @@ def convexity_direction_check(net, x, y):
     if np.array_equal(x, y):
         raise ValidationError("x and y must differ")
     outs_x = forward(net, x)
-    masks = [z > 0.0 for z in preactivations(net, x)]
+    masks = [o > 0.0 for o in outs_x[1:]]
     gy = forward(net, y)[-1]
     v = apply_masked_t(net, masks, outs_x[-1] - gy)
     diff = x - y

@@ -45,12 +45,12 @@ import os
 
 import numpy as np
 
-from .conditions import (ConditionReport, lambda_concentration, lipschitz_check,
+from .conditions import (ConditionReport, _fmt, lambda_concentration, lipschitz_check,
                          convexity_direction_check, log_piece_count_bounds,
                          norm_angle_report, r2wdc_deviation, wdc_deviation)
 from .errors import DivergenceError, ValidationError
 from .net import contractive_example_dims, sample_gaussian_net
-from .rng import DOMAIN_SAMPLE, sub_rng
+from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
 from .solvers import KINDS, SolverConfig, make_instance, solve
 
 SWEEP_AXES = ("m", "sigma", "width", "depth")
@@ -141,11 +141,12 @@ def _star_args(args):
 def run_experiment(spec, jobs=1):
     """Run the sweep grid; returns (rows, summary) sorted by (value, seed).
 
-    jobs > 1 fans cells over a process pool; results are identical to the
-    serial run because each cell is a pure function of (spec, value, seed).
+    jobs > 1 fans cells over a process pool of at most one worker per cell
+    and per CPU; results are identical to the serial run because each cell
+    is a pure function of (spec, value, seed).
     """
     cells = sorted((float(v), int(s)) for v in spec.sweep_values for s in spec.seeds)
-    jobs = max(1, int(jobs))
+    jobs = max(1, min(int(jobs), len(cells), default_jobs()))
     if jobs == 1:
         rows = [run_cell(spec, v, s) for v, s in cells]
     else:
@@ -170,17 +171,11 @@ def run_experiment(spec, jobs=1):
     return rows, summary
 
 
-def _csv_cell(v):
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
 def _table_text(columns, rows):
     buf = io.StringIO()
     buf.write(",".join(columns) + "\n")
     for r in rows:
-        buf.write(",".join(_csv_cell(r[c]) for c in columns) + "\n")
+        buf.write(",".join(_fmt(r[c]) for c in columns) + "\n")
     return buf.getvalue()
 
 
@@ -240,17 +235,27 @@ def _parse_seeds(text):
 
 
 def _parse_recipe(text):
+    """DimsRecipe from 'k=4 d=3 c_bar=2 alpha_floor=1' (spaces or commas)."""
     kv = {}
     for tok in text.replace(",", " ").split():
         key, eq, val = tok.partition("=")
         if not eq:
             raise ValidationError(f"bad recipe token {tok!r}, expected key=value")
-        kv[key.strip()] = float(val)
+        try:
+            value = float(val)
+        except ValueError:
+            raise ValidationError(f"bad recipe value {tok!r}") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"recipe value {tok!r} is not finite")
+        kv[key.strip()] = value
     extra = set(kv) - {"k", "d", "c_bar", "alpha_floor"}
     if extra:
         raise ValidationError(f"unknown recipe keys {sorted(extra)}")
     if "k" not in kv or "d" not in kv:
         raise ValidationError("recipe needs at least k and d")
+    for key in ("k", "d"):
+        if kv[key] != int(kv[key]):
+            raise ValidationError(f"recipe {key} must be an integer, got {kv[key]!r}")
     return contractive_example_dims(k=int(kv["k"]), d=int(kv["d"]),
                                     c_bar=kv.get("c_bar", 2.0),
                                     alpha_floor=kv.get("alpha_floor", 1.0))
@@ -350,7 +355,7 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
         rng = sub_rng(seed, DOMAIN_SAMPLE, j)
         x = rng.standard_normal(net.k)
         y = rng.standard_normal(net.k)
-        near = x + 0.05 * float(np.linalg.norm(x)) * _unit(rng, net.k)
+        near = x + 0.05 * float(np.linalg.norm(x)) * unit_vector(rng, net.k)
         na = norm_angle_report(net, x, y, eps_ref=eps)
         ang_max = np.maximum(ang_max, na.eps_by_layer)
         ratio_min = np.minimum(ratio_min, na.per_layer["norm_sq_ratio"])
@@ -398,14 +403,6 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
         headline="log_piece_bound", samples=0, seed=int(seed),
         per_layer=per_layer, aux=aux))
     return reports
-
-
-def _unit(rng, n):
-    while True:
-        v = rng.standard_normal(n)
-        nv = np.linalg.norm(v)
-        if nv > 0.0:
-            return v / nv
 
 
 def default_jobs():

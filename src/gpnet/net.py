@@ -22,6 +22,7 @@ path is well defined even on a boundary, where it picks the closed side.
 
 from dataclasses import dataclass
 import math
+import os
 
 import numpy as np
 
@@ -121,25 +122,23 @@ def sample_gaussian_net(dims, seed):
     return GenerativeNet(dims=dims, weights=tuple(weights))
 
 
+def _layers(net, x):
+    """Yield (z_i, G_i(x)) for i = 1..d, with z_i = W_i G_{i-1}(x)."""
+    for w in net.weights:
+        z = w @ x
+        x = np.maximum(z, 0.0)
+        yield z, x
+
+
 def forward(net, x):
     """All layer outputs [G_0(x)=x, G_1(x), ..., G_d(x)]."""
     x = _as_vector(x, net.k)
-    outs = [x]
-    for w in net.weights:
-        x = np.maximum(w @ x, 0.0)
-        outs.append(x)
-    return outs
+    return [x] + [out for _, out in _layers(net, x)]
 
 
 def preactivations(net, x):
     """Per-layer pre-relu vectors z_i = W_i G_{i-1}(x), i = 1..d."""
-    x = _as_vector(x, net.k)
-    pre = []
-    for w in net.weights:
-        z = w @ x
-        pre.append(z)
-        x = np.maximum(z, 0.0)
-    return pre
+    return [z for z, _ in _layers(net, _as_vector(x, net.k))]
 
 
 def linear_path(net, x):
@@ -147,29 +146,18 @@ def linear_path(net, x):
 
     Masks use the strict rule z > 0; a coordinate sitting exactly on its
     activation boundary counts as off.  Dense matrices are fine for the
-    layer widths used here (thousands); use apply_masked /
-    apply_masked_t for a matrix-free product when that ever matters.
+    layer widths used here (thousands); use apply_masked_t for a
+    matrix-free transposed product when that ever matters.
     """
     x = _as_vector(x, net.k)
     masks = []
     mats = [np.eye(net.k)]
-    cur = x
-    for w in net.weights:
-        z = w @ cur
+    for w, (z, _) in zip(net.weights, _layers(net, x)):
         m = z > 0.0
         masks.append(_freeze(m))
         mats.append((w * m[:, None]) @ mats[-1])
-        cur = np.maximum(z, 0.0)
     return LinearPath(x=_freeze(x.copy()), masks=tuple(masks),
                       mats=tuple(_freeze(m) for m in mats))
-
-
-def apply_masked(net, masks, v):
-    """Matrix-free Lambda_d v for a fixed mask set."""
-    v = np.asarray(v, dtype=np.float64)
-    for w, m in zip(net.weights, masks):
-        v = m * (w @ v)
-    return v
 
 
 def apply_masked_t(net, masks, w_vec):
@@ -302,10 +290,11 @@ def save_net(net, path):
 
 
 def _read_exact(f, count, what):
-    buf = f.read(count)
-    if len(buf) != count:
-        raise ValidationError(f"truncated network file while reading {what}")
-    return buf
+    """count bytes of f, checked against the bytes left before reading, so
+    a corrupt size field cannot ask for more memory than the file holds."""
+    if count > os.fstat(f.fileno()).st_size - f.tell():
+        raise ValidationError(f"truncated file while reading {what}")
+    return f.read(count)
 
 
 def load_net(path):

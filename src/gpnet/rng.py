@@ -32,3 +32,12 @@ def sub_rng(seed, domain, index=0):
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(domain), int(index)))
     return np.random.default_rng(ss)
+
+
+def unit_vector(rng, n):
+    """Uniform unit vector in R^n from generator rng; redraws a zero Gaussian."""
+    while True:
+        v = rng.standard_normal(n)
+        nv = np.linalg.norm(v)
+        if nv > 0.0:
+            return v / nv

@@ -27,13 +27,12 @@ trace row, and the final iterate costs one more forward sweep.
 from dataclasses import dataclass, fields
 import io
 import math
-import os
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .net import GenerativeNet, apply_masked_t, forward, load_net, save_net
-from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng
+from .net import GenerativeNet, _read_exact, apply_masked_t, forward, load_net, save_net
+from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 
 KINDS = ("CS", "PR", "DEN", "SPIKED_WISHART", "SPIKED_WIGNER")
 
@@ -77,9 +76,7 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
         raise ValidationError("sigma must be finite and nonnegative")
 
     if x_star is None:
-        rng = sub_rng(seed, DOMAIN_INSTANCE, _X_STAR)
-        x_star = rng.standard_normal(net.k)
-        x_star /= np.linalg.norm(x_star)
+        x_star = unit_vector(sub_rng(seed, DOMAIN_INSTANCE, _X_STAR), net.k)
     else:
         x_star = np.asarray(x_star, dtype=np.float64)
         if x_star.shape != (net.k,) or not np.linalg.norm(x_star) > 0.0:
@@ -285,12 +282,7 @@ def _start_point(inst, cfg):
         if x0.shape != (inst.net.k,) or not np.linalg.norm(x0) > 0.0:
             raise ValidationError("x0 must be a nonzero latent vector")
         return x0.copy()
-    rng = sub_rng(cfg.seed, DOMAIN_X0, 0)
-    while True:
-        x0 = rng.standard_normal(inst.net.k)
-        n = np.linalg.norm(x0)
-        if n > 0.0:
-            return x0 / n
+    return unit_vector(sub_rng(cfg.seed, DOMAIN_X0, 0), inst.net.k)
 
 
 def solve(inst, cfg):
@@ -376,27 +368,21 @@ def _write_opt(f, arr):
     a.tofile(f)
 
 
-def _read_exact(f, n):
-    """n bytes of f, checked against the bytes left before reading."""
-    if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise ValidationError("truncated instance file")
-    return f.read(n)
-
-
 def _read_opt(f):
-    flag = _read_exact(f, 1)
+    flag = _read_exact(f, 1, "presence flag")
     if flag == b"\x00":
         return None
     if flag != b"\x01":
         raise ValidationError("corrupt instance file (bad presence flag)")
-    nd = int(np.frombuffer(_read_exact(f, 4), dtype="<i4")[0])
+    nd = int(np.frombuffer(_read_exact(f, 4, "array rank"), dtype="<i4")[0])
     if not 0 <= nd <= 2:
         raise ValidationError(f"corrupt instance file (array rank {nd})")
-    shape = tuple(int(v) for v in np.frombuffer(_read_exact(f, 4 * nd), dtype="<i4"))
+    shape = tuple(int(v) for v in
+                  np.frombuffer(_read_exact(f, 4 * nd, "array shape"), dtype="<i4"))
     if any(n < 0 for n in shape):
         raise ValidationError(f"corrupt instance file (array shape {shape})")
     count = math.prod(shape)
-    raw = _read_exact(f, 8 * count)
+    raw = _read_exact(f, 8 * count, "array data")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
@@ -419,11 +405,12 @@ def load_instance(path, net_path):
     with open(path, "rb") as f:
         if f.read(len(_INST_MAGIC)) != _INST_MAGIC:
             raise ValidationError(f"{path} is not an instance file")
-        kind = _read_exact(f, 16).rstrip(b"\x00").decode(errors="replace")
+        kind = _read_exact(f, 16, "kind").rstrip(b"\x00").decode(errors="replace")
         if kind not in KINDS:
             raise ValidationError(f"unknown kind {kind!r} in instance file")
-        sigma = float(np.frombuffer(_read_exact(f, 8), dtype="<f8")[0])
-        n_samples, seed = (int(v) for v in np.frombuffer(_read_exact(f, 16), dtype="<i8"))
+        sigma = float(np.frombuffer(_read_exact(f, 8, "sigma"), dtype="<f8")[0])
+        n_samples, seed = (int(v) for v in
+                           np.frombuffer(_read_exact(f, 16, "n_samples"), dtype="<i8"))
         x_star = _read_opt(f)
         a = _read_opt(f)
         b = _read_opt(f)

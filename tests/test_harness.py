@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -93,6 +95,24 @@ def test_config_rejects_malformed(mangle):
         parse_experiment_config(mangle(CONFIG))
 
 
+BAD_RECIPES = ("k=abc d=3", "k=inf d=3", "k=nan d=3", "k=4.7 d=3", "k=4 d=3.5",
+               "k=4 d=3 c_bar=inf")
+
+
+@pytest.mark.parametrize("recipe", BAD_RECIPES)
+def test_config_rejects_bad_recipe_values(recipe):
+    with pytest.raises(ValidationError, match="recipe"):
+        parse_experiment_config(
+            CONFIG.replace("dims = 8, 250, 600", f"recipe = {recipe}"))
+
+
+@pytest.mark.parametrize("recipe", BAD_RECIPES)
+def test_cli_rejects_bad_recipe_values(recipe, capsys):
+    assert main(["conditions", "--recipe", recipe, "--samples", "1",
+                 "--pairs", "1"]) == 1
+    assert "recipe" in capsys.readouterr().err
+
+
 def test_spec_validates_fields():
     with pytest.raises(ValidationError):
         small_spec(kind="NOPE")
@@ -175,6 +195,36 @@ def test_parallel_equals_serial():
     r2, s2 = run_experiment(spec, jobs=2)
     assert experiment_csv_text(r1) == experiment_csv_text(r2)
     assert summary_csv_text(s1) == summary_csv_text(s2)
+
+
+def test_jobs_clamped_to_cells_and_cpus(monkeypatch):
+    # a fake pool that records its size and maps serially: no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    spec = small_spec(solver=SolverConfig(t_max=5))  # 4 cells
+    serial = experiment_csv_text(run_experiment(spec, jobs=1)[0])
+    for jobs, want in ((10 ** 9, 3), (2, 2)):
+        rows, _ = run_experiment(spec, jobs=jobs)
+        assert sizes.pop() == want
+        assert experiment_csv_text(rows) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_experiment(spec, jobs=10 ** 9)
+    assert sizes == [4]
 
 
 def test_experiment_csv_parses_back():

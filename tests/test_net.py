@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gpnet.errors import ValidationError
-from gpnet.net import (GenerativeNet, apply_masked, apply_masked_t,
-                       contractive_example_dims, forward, linear_path, load_net,
-                       preactivations, sample_gaussian_net, save_net)
+from gpnet.cli import main
+from gpnet.net import (MAGIC, GenerativeNet, apply_masked_t, contractive_example_dims,
+                       forward, linear_path, load_net, preactivations,
+                       sample_gaussian_net, save_net)
 
 # hand-worked tiny case: W = [[1,-1],[-1,1]], x = (1,0)
 # z = (1,-1) -> mask (1,0), G = (1,0), Lambda = [[1,-1],[0,0]]
@@ -134,8 +135,33 @@ def test_masks_match_preactivations():
     net = sample_gaussian_net((4, 33, 21), seed=8)
     x = np.random.default_rng(2).standard_normal(4)
     path = linear_path(net, x)
-    for m, z in zip(path.masks, preactivations(net, x)):
+    outs = forward(net, x)[1:]
+    for m, z, o in zip(path.masks, preactivations(net, x), outs):
         assert np.array_equal(m, z > 0)
+        assert np.array_equal(m, o > 0)
+
+
+@pytest.mark.parametrize("dims,seed", [((3, 7), 1), ((4, 33, 21), 8),
+                                       ((5, 40, 30, 20, 12), 15)])
+def test_propagation_matches_reference_loop(dims, seed):
+    # forward, preactivations and linear_path share one layer loop; each
+    # must equal a plain loop over the weights bit for bit
+    net = sample_gaussian_net(dims, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = rng.standard_normal(net.k)
+        outs, pre, masks, mats = [x], [], [], [np.eye(net.k)]
+        for w in net.weights:
+            z = w @ outs[-1]
+            pre.append(z)
+            masks.append(z > 0.0)
+            mats.append((w * masks[-1][:, None]) @ mats[-1])
+            outs.append(np.maximum(z, 0.0))
+        path = linear_path(net, x)
+        for got, want in ((forward(net, x), outs), (preactivations(net, x), pre),
+                          (path.masks, masks), (path.mats, mats)):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, e) for g, e in zip(got, want))
 
 
 def test_local_linearity():
@@ -163,10 +189,8 @@ def test_matrix_free_apply_matches_dense():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(6)
     path = linear_path(net, x)
-    v = rng.standard_normal(6)
+    rng.standard_normal(6)  # keeps w on the same draws as before
     w = rng.standard_normal(20)
-    assert np.allclose(apply_masked(net, path.masks, v), path.lam @ v,
-                       rtol=1e-12, atol=1e-12)
     assert np.allclose(apply_masked_t(net, path.masks, w), path.lam.T @ w,
                        rtol=1e-12, atol=1e-12)
 
@@ -192,6 +216,17 @@ def test_net_io_rejects_garbage(tmp_path):
     q.write_bytes(q.read_bytes()[:-8])
     with pytest.raises(ValidationError):
         load_net(q)
+
+
+def test_net_io_rejects_oversized_header(tmp_path, capsys):
+    # a header claiming (2^30, 2^30) weights over a few bytes of payload
+    p = tmp_path / "huge.gpn"
+    p.write_bytes(MAGIC + np.asarray([1, 2 ** 30, 2 ** 30], dtype="<i4").tobytes()
+                  + b"\x00" * 64)
+    with pytest.raises(ValidationError, match="truncated"):
+        load_net(p)
+    assert main(["check-wdc", "--net", str(p), "--samples", "2"]) == 1
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_recipe_k5_example_shape():
