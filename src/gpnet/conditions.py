@@ -113,12 +113,39 @@ def write_reports_csv(reports, path):
 # ---------------------------------------------------------------------------
 
 def masked_gram_deviation(w, r, s):
-    """|| W_{+,r}^T W_{+,s} - Q_{r,s} || for one direction pair."""
+    """|| W_{+,r}^T W_{+,s} - Q_{r,s} || for one direction pair.
+
+    Computed exactly on a core of side t = min(n, p + 2), never in R^n:
+
+    * the row masks D_r, D_s are diagonal and commute, so
+      W_{+,r}^T W_{+,s} = W^T D_r D_s W = B^T B with B = W[J], J the p
+      rows active at both r and s;
+    * Q = a I + U^T K U with the 2 x n frame U and 2 x 2 block K of
+      geometry.q_matrix (no rows when Q is a multiple of I);
+    * a thin QR [B; U]^T = P [R1 | R2], R1 holding the first p columns
+      and P (n x t) orthonormal columns, gives B^T = P R1 and U^T = P R2,
+      so with I = P P^T + (I - P P^T)
+
+        B^T B - Q = P (R1 R1^T - R2 K R2^T - a I_t) P^T - a (I - P P^T).
+
+    The two terms act on orthogonal subspaces, so the deviation is the
+    larger of the core's spectral norm and a, the latter only when
+    t < n (the complement is empty when t = n).  The core is symmetrized
+    exactly, so its norm comes from one symmetric eigenvalue problem.
+    Cost O(n p^2 + p^3), against O(m n^2 + n^3) for the dense masked
+    Gram and its SVD.
+    """
     w = np.asarray(w, dtype=np.float64)
-    mr = (w @ r > 0.0)[:, None]
-    ms = (w @ s > 0.0)[:, None]
-    gram = (w * mr).T @ (w * ms)
-    return float(spectral_norm(gram - q_matrix(r, s).q))
+    joint = (w @ r > 0.0) & (w @ s > 0.0)
+    dm = q_matrix(r, s)
+    b = w[joint]
+    rf = np.linalg.qr(np.concatenate((b, dm.frame)).T, mode="r")
+    r1, r2 = rf[:, :len(b)], rf[:, len(b):]
+    core = r1 @ r1.T - r2 @ dm.core @ r2.T - dm.a * np.eye(len(rf))
+    dev = spectral_norm((core + core.T) / 2.0)
+    if len(rf) < w.shape[1]:
+        dev = max(dev, dm.a)
+    return float(dev)
 
 
 def wdc_deviation(w, samples, seed, layer=1):
@@ -176,7 +203,7 @@ def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
     mv = w @ gv > 0.0
     # <W_{+,u}^T W_{+,v} a, b> = sum_j mu_j mv_j (W a)_j (W b)_j
     bilin = float(np.sum((w @ a) * (w @ b) * (mu & mv)))
-    qab = float(np.dot(q_matrix(gu, gv).q @ a, b))
+    qab = float(np.dot(q_matrix(gu, gv).apply(a), b))
     return abs(bilin - qab) / (na * nb)
 
 
@@ -371,34 +398,42 @@ def _dedupe_sorted_angles(angles, tol=1e-12):
     return out
 
 
-def _pattern_of(p, t):
-    vals = p @ t
+def _patterns_at(p, witnesses):
+    """Activation patterns of the projected rows p at the witness points.
+
+    witnesses holds one point of R^ell per row; all are classified with
+    one product.  A witness on the plane of a nonzero row is unusable and
+    left out; a zero row is off at every witness.
+    """
+    vals = np.asarray(witnesses, dtype=np.float64) @ p.T
     zero_rows = ~np.any(p != 0.0, axis=1)
-    if np.any((vals == 0.0) & ~zero_rows):
-        return None  # witness sits exactly on a plane; unusable
-    return tuple(int(v > 0.0) for v in vals)
+    usable = ~np.any((vals == 0.0) & ~zero_rows, axis=1)
+    pats = np.unique(vals[usable] > 0.0, axis=0).astype(int)
+    return set(map(tuple, pats.tolist()))
 
 
-def _patterns_ell2(p):
+def _witnesses_ell1(p):
+    return np.array([[1.0], [-1.0]])
+
+
+def _witnesses_ell2(p):
     nz = [j for j in range(p.shape[0]) if np.any(p[j] != 0.0)]
     if not nz:
-        return {_pattern_of(p, np.array([1.0, 0.0]))}
+        return np.array([[1.0, 0.0]])
     bounds = []
     for j in nz:
         phi = math.atan2(p[j, 1], p[j, 0])
         for b in (phi + math.pi / 2.0, phi - math.pi / 2.0):
             bounds.append(b % (2.0 * math.pi))
     bounds = _dedupe_sorted_angles(bounds)
-    pats = set()
+    witnesses = []
     for t in range(len(bounds)):
         nxt = bounds[(t + 1) % len(bounds)]
         if t + 1 == len(bounds):
             nxt += 2.0 * math.pi
         mid = 0.5 * (bounds[t] + nxt)
-        pat = _pattern_of(p, np.array([math.cos(mid), math.sin(mid)]))
-        if pat is not None:
-            pats.add(pat)
-    return pats
+        witnesses.append([math.cos(mid), math.sin(mid)])
+    return np.array(witnesses)
 
 
 def _orth_basis_of_plane(q):
@@ -411,7 +446,7 @@ def _orth_basis_of_plane(q):
     return a, b
 
 
-def _patterns_ell3(p):
+def _witnesses_ell3(p):
     m = p.shape[0]
     nz = [j for j in range(m) if np.any(p[j] != 0.0)]
     witnesses = []
@@ -475,13 +510,7 @@ def _patterns_ell3(p):
     rng = sub_rng(1729, DOMAIN_SAMPLE, 0)
     for _ in range(_PATTERN_JITTER):
         witnesses.append(unit_vector(rng, 3))
-
-    pats = set()
-    for t in witnesses:
-        pat = _pattern_of(p, t)
-        if pat is not None:
-            pats.add(pat)
-    return pats
+    return np.array(witnesses)
 
 
 def pattern_count_exact(w, basis):
@@ -511,17 +540,8 @@ def pattern_count_exact(w, basis):
         raise ValidationError("basis columns are linearly dependent")
 
     p = w @ basis
-    if ell == 1:
-        pats = set()
-        for c in (1.0, -1.0):
-            pat = _pattern_of(p, np.array([c]))
-            if pat is not None:
-                pats.add(pat)
-    elif ell == 2:
-        pats = _patterns_ell2(p)
-    else:
-        pats = _patterns_ell3(p)
-    pats.discard(None)
+    witnesses = (_witnesses_ell1, _witnesses_ell2, _witnesses_ell3)[ell - 1](p)
+    pats = _patterns_at(p, witnesses)
 
     comb = sum(math.comb(m, j) for j in range(ell + 1))
     return PatternCount(m=m, ell=ell, count=len(pats), comb_bound=comb,

@@ -17,6 +17,21 @@ u1 = rhat, u2 = unit part of shat orthogonal to u1,
 Eigenvalues of Q are ((pi - theta) +- sin theta) / (2 pi) on span(r, s)
 and (pi - theta)/(2 pi) off it, so the spectral norm never exceeds 1/2.
 
+Writing U for the 2 x n frame with rows u1, u2, the display above is
+M = U^T [[cos theta, sin theta], [sin theta, -cos theta]] U, so Q is kept
+factored as
+
+    Q = a I + U^T K U,   a = (pi - theta) / (2 pi),
+    K = (sin theta / (2 pi)) [[cos theta, sin theta], [sin theta, -cos theta]].
+
+Q v then costs O(n), and the dense n x n matrix is built only when asked
+for.  The factoring also confines a masked-Gram deviation to a small
+core: with B the p rows of W active at both r and s, every term of
+B^T B - Q except a I maps into the span S of the rows of B and U, of
+dimension t <= p + 2, so B^T B - Q is a t x t core on S (from one thin
+QR of [B; U]^T) plus -a I on the complement of S.  The derivation is at
+conditions.masked_gram_deviation.
+
 Feeding both vectors through one masked layer contracts their angle by
 
     g(theta) = arccos(((pi - theta) cos theta + sin theta) / pi),
@@ -26,6 +41,7 @@ predicts <Lambda_x^T Lambda_y y> to leading order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 import warnings
 
@@ -98,16 +114,45 @@ def angle_between(x, y):
 
 @dataclass(frozen=True)
 class DistortionMatrix:
-    """Q_{r,s} together with the angle and the unit vectors that framed it.
+    """Q_{r,s} = a I + U^T K U together with the angle and the unit vectors
+    that framed it.
 
+    frame holds the rows u1, u2 of U (2 x n) and core the 2 x 2 block K;
+    when Q is a multiple of the identity, frame is 0 x n and core 0 x 0.
     r_hat and s_hat are None when either input was the zero vector (the
     convention sets Q = 0 there).
     """
 
     theta: float
-    q: np.ndarray
+    a: float
+    frame: np.ndarray
+    core: np.ndarray
     r_hat: np.ndarray | None
     s_hat: np.ndarray | None
+
+    def apply(self, v):
+        """Q v in O(n), without forming Q."""
+        v = np.asarray(v, dtype=np.float64)
+        return self.a * v + self.frame.T @ (self.core @ (self.frame @ v))
+
+    @cached_property
+    def q(self):
+        """The dense n x n matrix Q, built on first access."""
+        n = self.frame.shape[1]
+        if not len(self.frame):
+            return self.a * np.eye(n)
+        theta = self.theta
+        u1, u2 = self.frame
+        m = (math.cos(theta) * (np.outer(u1, u1) - np.outer(u2, u2))
+             + math.sin(theta) * (np.outer(u1, u2) + np.outer(u2, u1)))
+        return ((math.pi - theta) / (2.0 * math.pi)) * np.eye(n) \
+            + (math.sin(theta) / (2.0 * math.pi)) * m
+
+
+def _isotropic(theta, a, n, r_hat, s_hat):
+    """DistortionMatrix of Q = a I, which needs no frame."""
+    return DistortionMatrix(theta=theta, a=a, frame=np.zeros((0, n)),
+                            core=np.zeros((0, 0)), r_hat=r_hat, s_hat=s_hat)
 
 
 def q_matrix(r, s):
@@ -115,7 +160,8 @@ def q_matrix(r, s):
 
     Zero inputs give Q = 0.  Angles below 1e-12 are treated as zero, in
     which case Q is exactly I/2.  Collinear opposite vectors give the
-    zero matrix, matching the theta -> pi limit.
+    zero matrix, matching the theta -> pi limit.  The result is kept
+    factored; its .q attribute builds the dense matrix.
     """
     r = _finite_vector(r, "r")
     s = _finite_vector(s, "s")
@@ -125,14 +171,14 @@ def q_matrix(r, s):
     nr = np.linalg.norm(r)
     ns = np.linalg.norm(s)
     if nr == 0.0 or ns == 0.0:
-        return DistortionMatrix(theta=0.0, q=np.zeros((n, n)), r_hat=None, s_hat=None)
+        return _isotropic(0.0, 0.0, n, None, None)
     u1 = r / nr
     s_hat = s / ns
     c = float(np.dot(u1, s_hat))
     c = min(1.0, max(-1.0, c))
     theta = math.acos(c)
     if theta < _TINY_ANGLE:
-        return DistortionMatrix(theta=0.0, q=np.eye(n) / 2.0, r_hat=u1, s_hat=s_hat)
+        return _isotropic(0.0, 0.5, n, u1, s_hat)
     w = s_hat - c * u1
     nw = np.linalg.norm(w)
     if nw <= _COLLINEAR_TOL:
@@ -140,17 +186,13 @@ def q_matrix(r, s):
         # than ~1e-8, so the zero-angle test above can miss the parallel
         # case and the cosine sign has to split the two limits
         if c > 0.0:
-            return DistortionMatrix(theta=0.0, q=np.eye(n) / 2.0, r_hat=u1,
-                                    s_hat=s_hat)
-        m = np.zeros((n, n))
-        theta = math.pi
-    else:
-        u2 = w / nw
-        m = (math.cos(theta) * (np.outer(u1, u1) - np.outer(u2, u2))
-             + math.sin(theta) * (np.outer(u1, u2) + np.outer(u2, u1)))
-    q = ((math.pi - theta) / (2.0 * math.pi)) * np.eye(n) \
-        + (math.sin(theta) / (2.0 * math.pi)) * m
-    return DistortionMatrix(theta=theta, q=q, r_hat=u1, s_hat=s_hat)
+            return _isotropic(0.0, 0.5, n, u1, s_hat)
+        return _isotropic(math.pi, 0.0, n, u1, s_hat)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    core = (sin_t / (2.0 * math.pi)) * np.array([[cos_t, sin_t], [sin_t, -cos_t]])
+    return DistortionMatrix(theta=theta, a=(math.pi - theta) / (2.0 * math.pi),
+                            frame=np.stack((u1, w / nw)), core=core,
+                            r_hat=u1, s_hat=s_hat)
 
 
 def g_theta(theta):

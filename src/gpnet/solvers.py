@@ -386,6 +386,32 @@ def _read_opt(f):
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
+def _check_loaded_arrays(kind, net, **arrays):
+    """Raise ValidationError unless the loaded arrays are finite and their
+    shapes fit the net and the kind, as make_instance would build them."""
+    for name, arr in arrays.items():
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ValidationError(f"instance {name} contains non-finite entries")
+    n_out = net.n_out
+    a = arrays["a"]
+    if kind in ("CS", "PR"):
+        if a is None or a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != n_out:
+            raise ValidationError(f"instance a must be an (m, {n_out}) matrix for "
+                                  f"kind {kind}, got {None if a is None else a.shape}")
+        want = {"b": (len(a),), "m_obs": None, "eta": (len(a),)}
+    elif kind == "DEN":
+        want = {"a": None, "b": (n_out,), "m_obs": None, "eta": (n_out,)}
+    else:
+        want = {"a": None, "b": None, "m_obs": (n_out, n_out), "eta": None}
+    want["x_star"] = (net.k,)
+    for name, shape in want.items():
+        got = None if arrays[name] is None else arrays[name].shape
+        # eta is optional: an Instance built by hand may carry none
+        if got != shape and not (name == "eta" and got is None):
+            raise ValidationError(f"instance {name} has shape {got}, but kind "
+                                  f"{kind} on a {net.dims} net needs {shape}")
+
+
 def save_instance(inst, path, net_path):
     """Persist an instance; the net goes to net_path in its own format."""
     save_net(inst.net, net_path)
@@ -416,8 +442,11 @@ def load_instance(path, net_path):
         b = _read_opt(f)
         m_obs = _read_opt(f)
         eta = _read_opt(f)
-    if x_star is None:
-        raise ValidationError("instance file lacks x_star")
+        if f.read(1):
+            raise ValidationError(f"{path} has trailing bytes after the last field")
+    if not math.isfinite(sigma):
+        raise ValidationError("instance sigma is not finite")
+    _check_loaded_arrays(kind, net, x_star=x_star, a=a, b=b, m_obs=m_obs, eta=eta)
     return Instance(kind=kind, net=net, x_star=x_star,
                     y_star=forward(net, x_star)[-1], a=a, b=b, m_obs=m_obs,
                     eta=eta, sigma=sigma,

@@ -12,10 +12,12 @@ from gpnet.conditions import (ConditionReport, activation_gram_mc,
                               norm_angle_report, omega, pattern_count_exact,
                               r2wdc_deviation, r2wdc_tuple_value, reports_csv_text,
                               wdc_deviation, write_reports_csv)
+from gpnet import conditions
 from gpnet.errors import ValidationError
-from gpnet.geometry import q_matrix
+from gpnet.geometry import DistortionMatrix, q_matrix, spectral_norm
+from gpnet.harness import _parse_recipe
 from gpnet.net import GenerativeNet, forward, linear_path, sample_gaussian_net
-from gpnet.rng import DOMAIN_INSTANCE, DOMAIN_SAMPLE, sub_rng
+from gpnet.rng import DOMAIN_INSTANCE, DOMAIN_SAMPLE, sub_rng, unit_vector
 
 # frozen regression values, measured once on first computation
 R2WDC_PIN_LAYER2 = 0.13107826628963767      # (4,200,400) net seed 11, 2000 pairs, seed 1
@@ -30,6 +32,17 @@ LOG_PIECES_PIN = 33.75100659894561          # k=4, widths (100,100): 8 log(25 e)
 
 def desk_net():
     return sample_gaussian_net((4, 100, 200), seed=5)
+
+
+def recipe_net():
+    return sample_gaussian_net(_parse_recipe("k=4 d=3").dims, seed=0)
+
+
+def dense_masked_gram_deviation(w, r, s):
+    # the O(n^3) reference: dense masked Gram minus the dense Q
+    mr = (w @ r > 0.0)[:, None]
+    ms = (w @ s > 0.0)[:, None]
+    return float(spectral_norm((w * mr).T @ (w * ms) - q_matrix(r, s).q))
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +67,69 @@ def test_masked_gram_large_m_small_deviation():
     dev = masked_gram_deviation(w, e1, e2)
     assert dev <= 0.1
     assert abs(dev - 0.016457890735235688) < 1e-9
+
+
+def test_masked_gram_core_matches_dense_reference():
+    # layer 1 of the recipe net has n = 4 <= p + 2 (no complement term);
+    # layers 2 and 3 have p + 2 < n, where the complement contributes a
+    net = recipe_net()
+    regimes = set()
+    for i, w in enumerate(net.weights, start=1):
+        n = w.shape[1]
+        for j in range(6):
+            rng = sub_rng(4, DOMAIN_SAMPLE, j)
+            r = unit_vector(rng, n)
+            s = unit_vector(rng, n)
+            p = int(np.count_nonzero((w @ r > 0.0) & (w @ s > 0.0)))
+            regimes.add((i, p + 2 < n))
+            assert masked_gram_deviation(w, r, s) == pytest.approx(
+                dense_masked_gram_deviation(w, r, s), rel=1e-12)
+    assert regimes == {(1, False), (2, True), (3, True)}
+
+
+def test_masked_gram_core_degenerate_pairs():
+    w = recipe_net().weights[1]
+    n = w.shape[1]
+    r = np.random.default_rng(6).standard_normal(n)
+    # rows active at r only or at s only: the joint mask is empty
+    split = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    sr, ss = np.array([1.0, -1.0, 0.3]), np.array([-1.0, 1.0, 0.3])
+    row = np.array([[0.8, 0.6, 0.0]])
+    rhat = row[0] / np.linalg.norm(row[0])
+    cases = [(w, np.zeros(n), r), (w, r, np.zeros(n)), (w, r, r), (w, r, -r),
+             (split, sr, ss), (row, rhat, rhat), (row, -rhat, -rhat)]
+    for ww, a, b in cases:
+        assert masked_gram_deviation(ww, a, b) == pytest.approx(
+            dense_masked_gram_deviation(ww, a, b), rel=1e-12)
+    # closed forms with no jointly active row: 0 where Q = 0, else ||Q||
+    assert masked_gram_deviation(w, np.zeros(n), r) == 0.0
+    assert masked_gram_deviation(w, r, -r) == 0.0
+    t = q_matrix(sr, ss).theta
+    assert masked_gram_deviation(split, sr, ss) == pytest.approx(
+        ((math.pi - t) + math.sin(t)) / (2.0 * math.pi), rel=1e-12)
+
+
+def test_wdc_checks_build_no_dense_q(monkeypatch):
+    import tracemalloc
+
+    def dense_q(self):
+        raise AssertionError("an n x n Q was built")
+
+    monkeypatch.setattr(DistortionMatrix, "q", property(dense_q))
+    net = recipe_net()
+    for i, w in enumerate(net.weights, start=1):
+        n = w.shape[1]
+        tracemalloc.start()
+        try:
+            wdc_deviation(w, samples=4, seed=3, layer=i)
+            r2wdc_deviation(net, i, samples=4, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no n x n float64 array at all; on layer 1 (n = k = 4) one mask
+        # vector already outweighs it, so the bound says nothing there
+        if i > 1:
+            assert peak < n * n * 8, (i, peak)
 
 
 def test_wdc_report_pin_and_fields():
@@ -103,6 +179,21 @@ def test_r2wdc_bilinear_below_spectral():
         gv = forward(net, lat[1])[1]
         spec = masked_gram_deviation(net.weights[1], gu, gv)
         assert v <= spec + 1e-10
+
+
+def test_r2wdc_tuple_matches_dense_q_form():
+    net = recipe_net()
+    for i, w in enumerate(net.weights, start=1):
+        for j in range(8):
+            rng = sub_rng(5, DOMAIN_SAMPLE, j)
+            lat = [rng.standard_normal(net.k) for _ in range(6)]
+            gu, gv, g1, g2, g3, g4 = (forward(net, x)[i - 1] for x in lat)
+            a = g1 - g2
+            b = g3 - g4
+            bilin = float(np.sum((w @ a) * (w @ b) * ((w @ gu > 0.0) & (w @ gv > 0.0))))
+            want = abs(bilin - float(np.dot(q_matrix(gu, gv).q @ a, b))) \
+                / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert r2wdc_tuple_value(net, i, *lat) == pytest.approx(want, rel=1e-12)
 
 
 def test_r2wdc_counts_degenerate_tuples():
@@ -297,6 +388,33 @@ def test_patterns_with_zero_rows():
     # zero row is always off; two independent planes give 4 chambers
     assert pc.count == 4
     assert all(pat[0] == 0 for pat in pc.patterns)
+
+
+def test_patterns_match_per_witness_reference():
+    # the batched classifier against one product per witness, on the
+    # same witness points, including zero rows and repeated planes
+    witnesses = (conditions._witnesses_ell1, conditions._witnesses_ell2,
+                 conditions._witnesses_ell3)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        m = 4 + seed % 17
+        for ell in (1, 2, 3):
+            w = rng.standard_normal((m, 8))
+            basis = rng.standard_normal((8, ell))
+            if seed % 5 == 0:
+                w[seed % m] = 0.0
+            if seed % 7 == 0:
+                w[1] = 2.0 * w[0]
+            p = w @ basis
+            nonzero = np.any(p != 0.0, axis=1)
+            ref = set()
+            for t in witnesses[ell - 1](p):
+                vals = p @ t
+                if not np.any((vals == 0.0) & nonzero):
+                    ref.add(tuple(int(v > 0.0) for v in vals))
+            pc = pattern_count_exact(w, basis)
+            assert pc.patterns == tuple(sorted(ref)), (seed, ell)
+            assert pc.count == len(ref)
 
 
 def test_patterns_validation():

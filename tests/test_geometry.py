@@ -92,6 +92,57 @@ def test_q_scale_invariance():
     assert np.max(np.abs(a - b)) < 1e-14
 
 
+def _q_pairs():
+    # generic pairs plus every degenerate branch: zero input, exact and
+    # rounded-parallel self pairs, antipodal pairs
+    rng = np.random.default_rng(17)
+    r = rng.standard_normal(7)
+    pairs = [(rng.standard_normal(7), rng.standard_normal(7)) for _ in range(10)]
+    return pairs + [(np.zeros(7), r), (r, np.zeros(7)), (r, r), (r, 0.37 * r),
+                    (r, -r), (r, -2.5 * r)]
+
+
+def test_q_dense_matches_reference_formula():
+    # .q is built lazily from the factors with the dense formula's own
+    # numpy calls, so its bytes equal that formula's
+    for r, s in _q_pairs():
+        d = q_matrix(r, s)
+        n = r.shape[0]
+        if np.linalg.norm(r) == 0.0 or np.linalg.norm(s) == 0.0:
+            want = np.zeros((n, n))
+        elif not len(d.frame):
+            want = np.eye(n) / 2.0 if d.theta == 0.0 else np.zeros((n, n))
+        else:
+            t = d.theta
+            u1 = r / np.linalg.norm(r)
+            sh = s / np.linalg.norm(s)
+            w = sh - min(1.0, max(-1.0, float(np.dot(u1, sh)))) * u1
+            u2 = w / np.linalg.norm(w)
+            m = (math.cos(t) * (np.outer(u1, u1) - np.outer(u2, u2))
+                 + math.sin(t) * (np.outer(u1, u2) + np.outer(u2, u1)))
+            want = ((math.pi - t) / (2.0 * math.pi)) * np.eye(n) \
+                + (math.sin(t) / (2.0 * math.pi)) * m
+        assert np.array_equal(d.q, want)
+        assert d.q is d.q  # built once
+
+
+def test_q_factors_and_apply_match_dense():
+    rng = np.random.default_rng(2)
+    for r, s in _q_pairs():
+        d = q_matrix(r, s)
+        n = r.shape[0]
+        assert d.frame.shape in ((2, n), (0, n))
+        assert d.core.shape == (len(d.frame),) * 2
+        assert np.array_equal(d.core, d.core.T)
+        factored = d.a * np.eye(n) + d.frame.T @ d.core @ d.frame
+        assert np.max(np.abs(factored - d.q)) <= 1e-15
+        for _ in range(3):
+            v = rng.standard_normal(n)
+            got = d.apply(v)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - d.q @ v)) <= 1e-14 * np.linalg.norm(v)
+
+
 def test_q_rejects_mismatched_shapes():
     with pytest.raises(ValidationError):
         q_matrix(np.ones(3), np.ones(4))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import pickle
@@ -9,7 +10,7 @@ import pytest
 
 from gpnet import solvers
 from gpnet.errors import DivergenceError, ValidationError
-from gpnet.net import GenerativeNet, forward, sample_gaussian_net
+from gpnet.net import GenerativeNet, forward, sample_gaussian_net, save_net
 from gpnet.solvers import (Instance, SolverConfig, SolveTrace, load_instance, loss,
                            make_instance, save_instance, solve, subgradient)
 
@@ -479,3 +480,73 @@ def test_instance_load_rejects_every_truncation(tmp_path):
         cut.write_bytes(raw[:n])
         with pytest.raises(ValidationError):
             load_instance(cut, npth)
+
+
+def _saved(tmp_path, inst, net=None):
+    """Save inst (with its own net unless net is given) and return the
+    paths to load it from."""
+    ip, npth = tmp_path / "i.gpi", tmp_path / "n.gpn"
+    save_instance(inst, ip, npth)
+    if net is not None:
+        save_net(net, npth)
+    return ip, npth
+
+
+def test_instance_load_rejects_trailing_bytes(tmp_path):
+    ip, npth = _saved(tmp_path, make_instance("CS", small_net(), m=6, seed=0))
+    ip.write_bytes(ip.read_bytes() + b"junk")
+    with pytest.raises(ValidationError, match="trailing"):
+        load_instance(ip, npth)
+
+
+def test_instance_load_rejects_wrong_latent_length(tmp_path):
+    inst = make_instance("DEN", small_net(), seed=0)
+    ip, npth = _saved(tmp_path, dataclasses.replace(inst, x_star=np.ones(6)))
+    with pytest.raises(ValidationError, match="x_star"):
+        load_instance(ip, npth)
+
+
+def test_instance_load_rejects_net_with_other_output_width(tmp_path):
+    # the same file loaded against a net of another n_out used to load and
+    # then fail inside solve with a bare numpy matmul error
+    inst = make_instance("CS", small_net(), m=6, seed=0)
+    ip, npth = _saved(tmp_path, inst, net=sample_gaussian_net((5, 40, 31), seed=1))
+    with pytest.raises(ValidationError, match="instance a "):
+        load_instance(ip, npth)
+
+
+@pytest.mark.parametrize("kind, kwargs, field, bad", [
+    ("CS", {"m": 6}, "b", np.ones(5)),
+    ("PR", {"m": 6}, "eta", np.zeros(7)),
+    ("CS", {"m": 6}, "m_obs", np.eye(30)),
+    ("DEN", {}, "b", np.ones(29)),
+    ("DEN", {}, "eta", np.zeros((30, 1))),
+    ("DEN", {}, "a", np.ones((3, 30))),
+    ("SPIKED_WIGNER", {"sigma": 0.1}, "m_obs", np.eye(29)),
+    ("SPIKED_WIGNER", {"sigma": 0.1}, "m_obs", None),
+    ("SPIKED_WISHART", {"n_samples": 20}, "b", np.ones(30)),
+])
+def test_instance_load_rejects_shapes_unfit_for_kind(tmp_path, kind, kwargs, field, bad):
+    inst = make_instance(kind, small_net(), seed=0, **kwargs)
+    ip, npth = _saved(tmp_path, dataclasses.replace(inst, **{field: bad}))
+    with pytest.raises(ValidationError, match=f"instance {field} "):
+        load_instance(ip, npth)
+
+
+def test_instance_load_accepts_missing_eta(tmp_path):
+    inst = make_instance("CS", small_net(), m=6, seed=0)
+    ip, npth = _saved(tmp_path, dataclasses.replace(inst, eta=None))
+    assert load_instance(ip, npth).eta is None
+
+
+@pytest.mark.parametrize("field", ["x_star", "a", "b", "eta", "sigma"])
+def test_instance_load_rejects_non_finite_values(tmp_path, field):
+    inst = make_instance("CS", small_net(), m=6, sigma=0.1, seed=0)
+    if field == "sigma":
+        bad = math.nan
+    else:
+        bad = np.array(getattr(inst, field))
+        bad.flat[-1] = np.inf
+    ip, npth = _saved(tmp_path, dataclasses.replace(inst, **{field: bad}))
+    with pytest.raises(ValidationError, match="finite"):
+        load_instance(ip, npth)
