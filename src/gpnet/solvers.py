@@ -22,16 +22,30 @@ and one at -x, each giving the loss, the layer outputs (hence the relu
 masks) and the outer residual, then one transposed sweep on the winner's
 masks for the subgradient.  The winner's sweep also supplies G(x) for the
 trace row, and the final iterate costs one more forward sweep.
+
+One table row per kind maps G(x) = g to its residual, loss and outer
+gradient w (the subgradient is Lambda_x^T w).  The spiked rows never form
+the n_out x n_out residual M - g g^T: one matvec gives M g, and
+
+    f = (|M|_F^2 - 2 g^T M g + |g|^4) / 2,    w = -2 (M g - |g|^2 g),
+
+with |M|_F^2 summed once per instance (Instance.m_sq_norm).  The expanded
+loss cancels, so it is exact only to rounding: within a small multiple of
+n_out^2 eps (|M|_F^2 + |g|^4) of the dense sum, and not exactly 0 at a
+planted noiseless Wigner latent.  CS, PR and DEN compute |r|^2 / 2 from
+the residual itself and are exactly 0 there.
 """
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .net import GenerativeNet, _read_exact, apply_masked_t, forward, load_net, save_net
+from .net import GenerativeNet, apply_masked_t, forward
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 
 KINDS = ("CS", "PR", "DEN", "SPIKED_WISHART", "SPIKED_WIGNER")
@@ -54,6 +68,11 @@ class Instance:
     sigma: float = 0.0
     n_samples: int | None = None
     seed: int = 0
+
+    @cached_property
+    def m_sq_norm(self):
+        """|M|_F^2 of the spiked-model matrix, summed once per instance."""
+        return float(np.einsum("ij,ij->", self.m_obs, self.m_obs))
 
 
 def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
@@ -129,8 +148,9 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
         n_samples = int(n_samples)
         u = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_U).standard_normal(n_samples)
         z = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_Z).standard_normal((n_samples, n_out))
-        big_b = np.outer(u, y_star) + sigma * z
-        raw = big_b.T @ big_b / n_samples - sigma ** 2 * np.eye(n_out)
+        z *= sigma  # B = u y_star^T + sigma Z, built in place in z
+        z += np.outer(u, y_star)
+        raw = z.T @ z / n_samples - sigma ** 2 * np.eye(n_out)
         m_obs = (raw + raw.T) / 2.0
         b = None
     else:  # SPIKED_WIGNER
@@ -145,30 +165,65 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
                     seed=int(seed))
 
 
+class _Outer(NamedTuple):
+    """How one kind turns G(x) into its loss and outer gradient w."""
+
+    residual: object  # (inst, g) -> tuple of what loss and gradient reuse
+    loss: object      # (inst, g, res) -> float
+    gradient: object  # (inst, g, res) -> w, the gradient of f in G(x)
+
+
+def _half_sq(inst, g, res):
+    return 0.5 * float(np.sum(res[0] * res[0]))
+
+
+def _cs(inst, g):
+    ag = inst.a @ g
+    return inst.b - ag, ag
+
+
+def _pr(inst, g):
+    ag = inst.a @ g
+    return inst.b - np.abs(ag), ag
+
+
+def _pr_gradient(inst, g, res):
+    ag = res[1]
+    return inst.a.T @ (np.sign(ag) * (np.abs(ag) - inst.b))
+
+
+def _spiked(inst, g):
+    # M - g g^T enters only through (M - g g^T) g and its Frobenius norm
+    return inst.m_obs @ g, float(g @ g)
+
+
+def _spiked_loss(inst, g, res):
+    mg, gg = res
+    return 0.5 * (inst.m_sq_norm - 2.0 * float(g @ mg) + gg * gg)
+
+
+_SPIKED = _Outer(_spiked, _spiked_loss, lambda inst, g, res: -2.0 * (res[0] - res[1] * g))
+
+_OUTER = {
+    "CS": _Outer(_cs, _half_sq, lambda inst, g, res: inst.a.T @ (res[1] - inst.b)),
+    "PR": _Outer(_pr, _half_sq, _pr_gradient),
+    "DEN": _Outer(lambda inst, g: (inst.b - g,), _half_sq, lambda inst, g, res: g - inst.b),
+    "SPIKED_WISHART": _SPIKED,
+    "SPIKED_WIGNER": _SPIKED,
+}
+
+
 def _evaluate(inst, x):
-    """(loss, layer outputs, outer residual, A G(x) or None) from one sweep at x."""
+    """(loss, layer outputs, residual) from one sweep at x."""
     outs = forward(inst.net, x)
-    g, ag = outs[-1], None
-    if inst.kind in ("CS", "PR"):
-        ag = inst.a @ g
-        r = inst.b - (ag if inst.kind == "CS" else np.abs(ag))
-    elif inst.kind == "DEN":
-        r = inst.b - g
-    else:
-        r = inst.m_obs - np.outer(g, g)
-    return 0.5 * float(np.sum(r * r)), outs, r, ag
+    row = _OUTER[inst.kind]
+    res = row.residual(inst, outs[-1])
+    return row.loss(inst, outs[-1], res), outs, res
 
 
-def _subgradient_at(inst, outs, r, ag):
+def _subgradient_at(inst, outs, res):
     """Lambda_x^T w from an _evaluate result, in one transposed sweep."""
-    if inst.kind == "CS":
-        w = inst.a.T @ (ag - inst.b)
-    elif inst.kind == "PR":
-        w = inst.a.T @ (np.sign(ag) * (np.abs(ag) - inst.b))
-    elif inst.kind == "DEN":
-        w = outs[-1] - inst.b
-    else:
-        w = -2.0 * r @ outs[-1]
+    w = _OUTER[inst.kind].gradient(inst, outs[-1], res)
     # relu(z) > 0 exactly when z > 0, so the outputs carry the masks
     return apply_masked_t(inst.net, [o > 0.0 for o in outs[1:]], w)
 
@@ -317,7 +372,6 @@ def solve(inst, cfg):
             if neg:
                 x, ev = -x, ev_neg
                 negations.append(t)
-            del ev_neg  # only the winner's residual stays alive
             record(t, x, ev, neg)
             if cfg.trace_stride > 0 and t % cfg.trace_stride == 0:
                 stored.append((t, x.copy()))
@@ -348,106 +402,3 @@ def solve(inst, cfg):
         final_rel_latent_err=float(arr[-1, 2]) / ns if ns > 0 else float("nan"),
         final_rel_signal_err=float(arr[-1, 3]) / ny if ny > 0 else float("nan"),
         stored_iterates=tuple(stored))
-
-
-# ---------------------------------------------------------------------------
-# instance persistence
-# ---------------------------------------------------------------------------
-
-_INST_MAGIC = b"GPINST1"
-
-
-def _write_opt(f, arr):
-    if arr is None:
-        f.write(b"\x00")
-        return
-    f.write(b"\x01")
-    a = np.ascontiguousarray(arr, dtype="<f8")
-    np.asarray([a.ndim], dtype="<i4").tofile(f)
-    np.asarray(a.shape, dtype="<i4").tofile(f)
-    a.tofile(f)
-
-
-def _read_opt(f):
-    flag = _read_exact(f, 1, "presence flag")
-    if flag == b"\x00":
-        return None
-    if flag != b"\x01":
-        raise ValidationError("corrupt instance file (bad presence flag)")
-    nd = int(np.frombuffer(_read_exact(f, 4, "array rank"), dtype="<i4")[0])
-    if not 0 <= nd <= 2:
-        raise ValidationError(f"corrupt instance file (array rank {nd})")
-    shape = tuple(int(v) for v in
-                  np.frombuffer(_read_exact(f, 4 * nd, "array shape"), dtype="<i4"))
-    if any(n < 0 for n in shape):
-        raise ValidationError(f"corrupt instance file (array shape {shape})")
-    count = math.prod(shape)
-    raw = _read_exact(f, 8 * count, "array data")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
-def _check_loaded_arrays(kind, net, **arrays):
-    """Raise ValidationError unless the loaded arrays are finite and their
-    shapes fit the net and the kind, as make_instance would build them."""
-    for name, arr in arrays.items():
-        if arr is not None and not np.all(np.isfinite(arr)):
-            raise ValidationError(f"instance {name} contains non-finite entries")
-    n_out = net.n_out
-    a = arrays["a"]
-    if kind in ("CS", "PR"):
-        if a is None or a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != n_out:
-            raise ValidationError(f"instance a must be an (m, {n_out}) matrix for "
-                                  f"kind {kind}, got {None if a is None else a.shape}")
-        want = {"b": (len(a),), "m_obs": None, "eta": (len(a),)}
-    elif kind == "DEN":
-        want = {"a": None, "b": (n_out,), "m_obs": None, "eta": (n_out,)}
-    else:
-        want = {"a": None, "b": None, "m_obs": (n_out, n_out), "eta": None}
-    want["x_star"] = (net.k,)
-    for name, shape in want.items():
-        got = None if arrays[name] is None else arrays[name].shape
-        # eta is optional: an Instance built by hand may carry none
-        if got != shape and not (name == "eta" and got is None):
-            raise ValidationError(f"instance {name} has shape {got}, but kind "
-                                  f"{kind} on a {net.dims} net needs {shape}")
-
-
-def save_instance(inst, path, net_path):
-    """Persist an instance; the net goes to net_path in its own format."""
-    save_net(inst.net, net_path)
-    with open(path, "wb") as f:
-        f.write(_INST_MAGIC)
-        kind = inst.kind.encode().ljust(16, b"\x00")
-        f.write(kind)
-        np.asarray([inst.sigma], dtype="<f8").tofile(f)
-        np.asarray([-1 if inst.n_samples is None else inst.n_samples,
-                    inst.seed], dtype="<i8").tofile(f)
-        for arr in (inst.x_star, inst.a, inst.b, inst.m_obs, inst.eta):
-            _write_opt(f, arr)
-
-
-def load_instance(path, net_path):
-    net = load_net(net_path)
-    with open(path, "rb") as f:
-        if f.read(len(_INST_MAGIC)) != _INST_MAGIC:
-            raise ValidationError(f"{path} is not an instance file")
-        kind = _read_exact(f, 16, "kind").rstrip(b"\x00").decode(errors="replace")
-        if kind not in KINDS:
-            raise ValidationError(f"unknown kind {kind!r} in instance file")
-        sigma = float(np.frombuffer(_read_exact(f, 8, "sigma"), dtype="<f8")[0])
-        n_samples, seed = (int(v) for v in
-                           np.frombuffer(_read_exact(f, 16, "n_samples"), dtype="<i8"))
-        x_star = _read_opt(f)
-        a = _read_opt(f)
-        b = _read_opt(f)
-        m_obs = _read_opt(f)
-        eta = _read_opt(f)
-        if f.read(1):
-            raise ValidationError(f"{path} has trailing bytes after the last field")
-    if not math.isfinite(sigma):
-        raise ValidationError("instance sigma is not finite")
-    _check_loaded_arrays(kind, net, x_star=x_star, a=a, b=b, m_obs=m_obs, eta=eta)
-    return Instance(kind=kind, net=net, x_star=x_star,
-                    y_star=forward(net, x_star)[-1], a=a, b=b, m_obs=m_obs,
-                    eta=eta, sigma=sigma,
-                    n_samples=None if n_samples < 0 else n_samples, seed=seed)
