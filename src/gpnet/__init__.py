@@ -17,7 +17,7 @@ from .harness import (ExperimentSpec, experiment_csv_text, parse_experiment_conf
 from .net import (DimsRecipe, GenerativeNet, LinearPath, apply_masked_t,
                   contractive_example_dims, forward, linear_path, load_net,
                   preactivations, sample_gaussian_net, save_net)
-from .solvers import (KINDS, Instance, SolverConfig, SolveTrace, loss,
-                      make_instance, solve, subgradient)
+from .solvers import (KINDS, Instance, SolverConfig, SolveTrace, load_instance,
+                      loss, make_instance, save_instance, solve, subgradient)
 
 __version__ = "0.1.0"

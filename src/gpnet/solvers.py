@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .net import GenerativeNet, apply_masked_t, forward
+from .net import GenerativeNet, _read_exact, apply_masked_t, forward, load_net, save_net
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 
 KINDS = ("CS", "PR", "DEN", "SPIKED_WISHART", "SPIKED_WIGNER")
@@ -402,3 +402,105 @@ def solve(inst, cfg):
         final_rel_latent_err=float(arr[-1, 2]) / ns if ns > 0 else float("nan"),
         final_rel_signal_err=float(arr[-1, 3]) / ny if ny > 0 else float("nan"),
         stored_iterates=tuple(stored))
+
+# ---------------------------------------------------------------------------
+# instance persistence
+# ---------------------------------------------------------------------------
+
+_INST_MAGIC = b"GPINST1"
+
+
+def _write_opt(f, arr):
+    if arr is None:
+        f.write(b"\x00")
+        return
+    f.write(b"\x01")
+    a = np.ascontiguousarray(arr, dtype="<f8")
+    np.asarray([a.ndim], dtype="<i4").tofile(f)
+    np.asarray(a.shape, dtype="<i4").tofile(f)
+    a.tofile(f)
+
+
+def _read_opt(f):
+    flag = _read_exact(f, 1, "presence flag")
+    if flag == b"\x00":
+        return None
+    if flag != b"\x01":
+        raise ValidationError("corrupt instance file (bad presence flag)")
+    nd = int(np.frombuffer(_read_exact(f, 4, "array rank"), dtype="<i4")[0])
+    if not 0 <= nd <= 2:
+        raise ValidationError(f"corrupt instance file (array rank {nd})")
+    shape = tuple(int(v) for v in
+                  np.frombuffer(_read_exact(f, 4 * nd, "array shape"), dtype="<i4"))
+    if any(n < 0 for n in shape):
+        raise ValidationError(f"corrupt instance file (array shape {shape})")
+    count = math.prod(shape)
+    raw = _read_exact(f, 8 * count, "array data")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+
+def _check_loaded_arrays(kind, net, **arrays):
+    """Raise ValidationError unless the loaded arrays are finite and their
+    shapes fit the net and the kind, as make_instance would build them."""
+    for name, arr in arrays.items():
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ValidationError(f"instance {name} contains non-finite entries")
+    n_out = net.n_out
+    a = arrays["a"]
+    if kind in ("CS", "PR"):
+        if a is None or a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != n_out:
+            raise ValidationError(f"instance a must be an (m, {n_out}) matrix for "
+                                  f"kind {kind}, got {None if a is None else a.shape}")
+        want = {"b": (len(a),), "m_obs": None, "eta": (len(a),)}
+    elif kind == "DEN":
+        want = {"a": None, "b": (n_out,), "m_obs": None, "eta": (n_out,)}
+    else:
+        want = {"a": None, "b": None, "m_obs": (n_out, n_out), "eta": None}
+    want["x_star"] = (net.k,)
+    for name, shape in want.items():
+        got = None if arrays[name] is None else arrays[name].shape
+        # eta is optional: an Instance built by hand may carry none
+        if got != shape and not (name == "eta" and got is None):
+            raise ValidationError(f"instance {name} has shape {got}, but kind "
+                                  f"{kind} on a {net.dims} net needs {shape}")
+
+
+def save_instance(inst, path, net_path):
+    """Persist an instance; the net goes to net_path in its own format."""
+    save_net(inst.net, net_path)
+    with open(path, "wb") as f:
+        f.write(_INST_MAGIC)
+        kind = inst.kind.encode().ljust(16, b"\x00")
+        f.write(kind)
+        np.asarray([inst.sigma], dtype="<f8").tofile(f)
+        np.asarray([-1 if inst.n_samples is None else inst.n_samples,
+                    inst.seed], dtype="<i8").tofile(f)
+        for arr in (inst.x_star, inst.a, inst.b, inst.m_obs, inst.eta):
+            _write_opt(f, arr)
+
+
+def load_instance(path, net_path):
+    net = load_net(net_path)
+    with open(path, "rb") as f:
+        if f.read(len(_INST_MAGIC)) != _INST_MAGIC:
+            raise ValidationError(f"{path} is not an instance file")
+        kind = _read_exact(f, 16, "kind").rstrip(b"\x00").decode(errors="replace")
+        if kind not in KINDS:
+            raise ValidationError(f"unknown kind {kind!r} in instance file")
+        sigma = float(np.frombuffer(_read_exact(f, 8, "sigma"), dtype="<f8")[0])
+        n_samples, seed = (int(v) for v in
+                           np.frombuffer(_read_exact(f, 16, "n_samples"), dtype="<i8"))
+        x_star = _read_opt(f)
+        a = _read_opt(f)
+        b = _read_opt(f)
+        m_obs = _read_opt(f)
+        eta = _read_opt(f)
+        if f.read(1):
+            raise ValidationError(f"{path} has trailing bytes after the last field")
+    if not math.isfinite(sigma):
+        raise ValidationError("instance sigma is not finite")
+    _check_loaded_arrays(kind, net, x_star=x_star, a=a, b=b, m_obs=m_obs, eta=eta)
+    return Instance(kind=kind, net=net, x_star=x_star,
+                    y_star=forward(net, x_star)[-1], a=a, b=b, m_obs=m_obs,
+                    eta=eta, sigma=sigma,
+                    n_samples=None if n_samples < 0 else n_samples, seed=seed)
