@@ -21,6 +21,7 @@ path is well defined even on a boundary, where it picks the closed side.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 import os
 
@@ -35,6 +36,26 @@ MAGIC = b"GPNET1\x00"
 def _freeze(a):
     a.flags.writeable = False
     return a
+
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), u = 2^-53: the relative error bound of a
+    float sum or dot product of n terms, in any order, with or without FMA."""
+    nu = n * 2.0 ** -53
+    return nu / (1.0 - nu)
+
+
+def _norm_bound(w):
+    """min(|W|_F, sqrt(|W|_1 |W|_inf)), lifted above its rounding.
+
+    Both norms are unchanged by taking entrywise absolute values, so the
+    bound holds for the spectral norm of W and of |W| alike.  The float
+    sums behind it have relative error below gamma_n, n = W.size + 4.
+    """
+    a = np.abs(w)
+    fro = math.sqrt(float(np.einsum("ij,ij->", w, w)))
+    mixed = math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
+    return min(fro, mixed) * (1.0 + 2.0 * _gamma(w.size + 4))
 
 
 def _as_vector(x, dim, name="x"):
@@ -85,6 +106,14 @@ class GenerativeNet:
     @property
     def n_out(self):
         return self.dims[-1]
+
+    @cached_property
+    def norm_bounds(self):
+        """Upper bounds on |W_i|_2 (and on the spectral norm of |W_i|), one
+        per layer, computed on first use from entry sums alone: no matrix
+        product and no decomposition.  Their product bounds the Lipschitz
+        constant of G, since the relu is 1-Lipschitz."""
+        return tuple(_norm_bound(w) for w in self.weights)
 
 
 @dataclass(frozen=True)
@@ -155,7 +184,7 @@ def linear_path(net, x):
     for w, (z, _) in zip(net.weights, _layers(net, x)):
         m = z > 0.0
         masks.append(_freeze(m))
-        mats.append((w * m[:, None]) @ mats[-1])
+        mats.append(m[:, None] * (w @ mats[-1]))
     return LinearPath(x=_freeze(x.copy()), masks=tuple(masks),
                       mats=tuple(_freeze(m) for m in mats))
 

@@ -17,11 +17,16 @@ Lambda_x^T (...) with rate alpha = c_step 2^d / d^2.  For wide enough
 random nets the distance to x_star contracts like 1 - (7/8) alpha / 2^d
 per step until the noise floor.
 
-An iteration costs three sweeps through the net: one forward sweep at x
-and one at -x, each giving the loss, the layer outputs (hence the relu
-masks) and the outer residual, then one transposed sweep on the winner's
-masks for the subgradient.  The winner's sweep also supplies G(x) for the
-trace row, and the final iterate costs one more forward sweep.
+An iteration costs at most three sweeps through the net: one forward
+sweep at x and, unless a Lipschitz certificate proves that the flip
+cannot fire, one at -x, each giving the loss, the layer outputs (hence
+the relu masks) and the outer residual; then one transposed sweep on the
+winner's masks for the subgradient.  The winner's sweep also supplies
+G(x) for the trace row, and the final iterate costs one more forward
+sweep.  The certificate (CS, PR and DEN only; see solve) skips the -x
+sweep in most iterations once the iterate has settled in x_star's basin,
+where f(x) -> 0 while f(-x) stays of order one, and it never changes a
+decision, so the trace bytes are those of the loop that always sweeps.
 
 One table row per kind maps G(x) = g to its residual, loss and outer
 gradient w (the subgradient is Lambda_x^T w).  The spiked rows never form
@@ -45,7 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .net import GenerativeNet, _read_exact, apply_masked_t, forward, load_net, save_net
+from .net import (GenerativeNet, _gamma, _read_exact, apply_masked_t, forward,
+                  load_net, save_net)
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 
 KINDS = ("CS", "PR", "DEN", "SPIKED_WISHART", "SPIKED_WIGNER")
@@ -171,6 +177,9 @@ class _Outer(NamedTuple):
     residual: object  # (inst, g) -> tuple of what loss and gradient reuse
     loss: object      # (inst, g, res) -> float
     gradient: object  # (inst, g, res) -> w, the gradient of f in G(x)
+    # inst -> upper bound on the Lipschitz constant of g -> r and on the
+    # spectral norm of its entrywise |.|; None where f is not |r|^2 / 2
+    lipschitz: object
 
 
 def _half_sq(inst, g, res):
@@ -202,12 +211,22 @@ def _spiked_loss(inst, g, res):
     return 0.5 * (inst.m_sq_norm - 2.0 * float(g @ mg) + gg * gg)
 
 
-_SPIKED = _Outer(_spiked, _spiked_loss, lambda inst, g, res: -2.0 * (res[0] - res[1] * g))
+def _a_norm_bound(inst):
+    # |A|_F bounds |A|_2 and |(|A|)|_2 with no |A| temporary per instance;
+    # lifted above the rounding of its sum
+    a = inst.a
+    return math.sqrt(float(np.einsum("ij,ij->", a, a))) * (1.0 + 2.0 * _gamma(a.size + 4))
+
+
+_SPIKED = _Outer(_spiked, _spiked_loss, lambda inst, g, res: -2.0 * (res[0] - res[1] * g),
+                 None)
 
 _OUTER = {
-    "CS": _Outer(_cs, _half_sq, lambda inst, g, res: inst.a.T @ (res[1] - inst.b)),
-    "PR": _Outer(_pr, _half_sq, _pr_gradient),
-    "DEN": _Outer(lambda inst, g: (inst.b - g,), _half_sq, lambda inst, g, res: g - inst.b),
+    "CS": _Outer(_cs, _half_sq, lambda inst, g, res: inst.a.T @ (res[1] - inst.b),
+                 _a_norm_bound),
+    "PR": _Outer(_pr, _half_sq, _pr_gradient, _a_norm_bound),
+    "DEN": _Outer(lambda inst, g: (inst.b - g,), _half_sq, lambda inst, g, res: g - inst.b,
+                  lambda inst: 1.0),
     "SPIKED_WISHART": _SPIKED,
     "SPIKED_WIGNER": _SPIKED,
 }
@@ -296,8 +315,9 @@ class SolveTrace:
 
     Arrays are aligned: row t holds the post-negation iterate's loss and
     absolute errors; the last row is the final iterate x_T.  negations
-    lists the iterations whose sign flip fired.  stop_reason is 't_max'
-    or 'step_tol'.
+    lists the iterations whose sign flip fired; sign_checks counts the
+    iterations that evaluated f(-x) (the others proved that the flip
+    could not fire; see solve).  stop_reason is 't_max' or 'step_tol'.
     """
 
     iters: np.ndarray
@@ -307,6 +327,7 @@ class SolveTrace:
     negated: np.ndarray
     negations: tuple
     n_steps: int
+    sign_checks: int
     alpha: float
     contraction: float
     stop_reason: str
@@ -340,22 +361,99 @@ def _start_point(inst, cfg):
     return unit_vector(sub_rng(cfg.seed, DOMAIN_X0, 0), inst.net.k)
 
 
+class _FlipBound:
+    """The no-flip certificate of solve for one CS, PR or DEN instance.
+
+    c, lip (L), growth (P), eta and eta_f are the constants of the
+    rounding margin derived in the solve docstring.
+    """
+
+    def __init__(self, inst):
+        net = inst.net
+        betas = net.norm_bounds
+        l_outer = _OUTER[inst.kind].lipschitz(inst)
+        m = len(inst.b)
+        count = (sum(net.dims[:-1]) + (net.n_out if inst.a is not None else 0)
+                 + m + net.k + net.depth + 64)
+        self.c = _gamma(count)
+        self.lip = l_outer * math.prod(betas)
+        self.growth = max(1.0, l_outer) * math.prod(max(1.0, b) for b in betas)
+        self.eta = count * max(net.dims + (m,)) * self.growth * 2.0 ** -1000
+        self.eta_f = m * 2.0 ** -1000
+
+    def rules_out_flip(self, f_x, x, p, f_p, p_norm):
+        """True when f^(-x) >= f^(x) is certain, from the sweep at p."""
+        c = self.c
+        x_norm = math.sqrt(float(x @ x))
+        s = x + p
+        far = (self.lip * (math.sqrt(float(s @ s)) + c * (x_norm + p_norm)) * (1.0 + c)
+               + 2.0 * self.eta)
+        near = math.sqrt(max(2.0 * (f_p - self.eta_f), 0.0))
+        lo = near * (1.0 - 4.0 * c) - far
+        return (lo > 0.0 and 0.5 * lo * lo * (1.0 - 4.0 * c) > f_x + self.eta_f
+                and near + far + self.growth * x_norm < 2.0 ** 400)
+
+
 def solve(inst, cfg):
     """Run negated subgradient descent; returns the SolveTrace.
 
     Raises DivergenceError naming the iteration if a loss, iterate or
     subgradient stops being finite.
+
+    The sign check flips x when the computed losses satisfy
+    f^(-x) < f^(x).  For CS, PR and DEN, f = |r|^2 / 2 with r = b - A G,
+    b - |A G| or b - G; relu and |.| are 1-Lipschitz, so r is L-Lipschitz
+    with L = L_outer prod_i beta_i, beta_i = GenerativeNet.norm_bounds[i]
+    and L_outer = |A|_F (CS, PR) or 1 (DEN).  Let p be the last point
+    swept besides x: -x after a check that kept x, the pre-flip x after a
+    flip.  Then |r(-x)| >= |r(p)| - L |x + p|, and the sweep at -x is
+    skipped when that bound, carried through the rounding below, proves
+    f^(-x) >= f^(x).  The spiked kinds always sweep.
+
+    Rounding margin, with u = 2^-53 and gamma_n = n u / (1 - n u):
+    - A float matvec obeys |fl(W v) - W v| <= gamma_n |W| |v| entrywise
+      (n the inner size, any summation order), and beta_i and |A|_F
+      also bound the spectral norms of |W_i| and |A|.  By induction over
+      the layers, the computed A G(y) (G(y) for DEN) lies within
+      gamma_K L |y| of the exact one, K = n_0 + ... + n_{d-1} (+ n_d for
+      CS and PR).  This error scales with |A G(y)|, which is |b| near a
+      solution, not with the residual, so it enters as an absolute term.
+      Subtracting from b adds u |r^|, and |.| adds nothing.
+    - Hence |r^(y) - r(y)| <= c L |y| + c |r^(y)| + eta, and
+      f^(y) = |r^(y)|^2 (1 + theta) / 2 + underflow, |theta| <= c, with
+      c = gamma_T, T = K + m + k + d + 64 (m = len(b)).  eta and
+      eta_f = m 2^-1000 cover underflow (at most 2^-1075 per product,
+      amplified by at most P = max(1, L_outer) prod max(1, beta_i)).
+    - f^(x) needs no margin: the decision compares against that float.
+    - Chaining |r^(p)| >= sqrt((2 f^(p) - 2 eta_f) / (1 + c)),
+      |r(p)| >= |r^(p)| (1 - c) - c L |p| - eta, the Lipschitz step,
+      |r^(-x)| >= (|r(-x)| - c L |x| - eta)(1 - c) and
+      f^(-x) >= |r^(-x)|^2 (1 - c) / 2 - eta_f gives: with
+          lo = sqrt(2 f^(p) - 2 eta_f)(1 - 2c)
+               - L (|x + p| + c (|x| + |p|)) - 2 eta,
+      lo > 0 and lo^2 (1 - 3c) / 2 > f^(x) + eta_f rule the flip out.
+      _FlipBound evaluates this with 1 - 4c and a factor 1 + c on the
+      L term; as c > 64 u, those slacks absorb its own few roundings.
+    - A skipped sweep must not be one that would have raised
+      DivergenceError.  Its layer outputs and A G(-x) are at most P |x|,
+      and its residual at most (rho + L |x + p|) plus rounding, with
+      rho = sqrt(2 f^(p)).  The test requires their sum to stay below
+      2^400, so no entry, square or sum of the sweep can overflow and
+      f^(-x) is finite.
     """
     d = inst.net.depth
     alpha = cfg.c_step * 2.0 ** d / d ** 2
     contraction = 1.0 - (7.0 / 8.0) * alpha / 2.0 ** d
     x = _start_point(inst, cfg)
+    bound = None if _OUTER[inst.kind].lipschitz is None else _FlipBound(inst)
 
     rows = []
     negations = []
     stored = []
     stop_reason = "t_max"
     steps = 0
+    sign_checks = 0
+    known = None  # (p, f^(p), |p|) once a sweep at a -x side has run
 
     def record(t, x_cur, ev, neg):
         rows.append((t, ev[0], float(np.linalg.norm(x_cur - inst.x_star)),
@@ -365,13 +463,22 @@ def solve(inst, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(int(cfg.t_max)):
             ev = _evaluate(inst, x)
-            ev_neg = _evaluate(inst, -x)
-            if not (math.isfinite(ev[0]) and math.isfinite(ev_neg[0])):
+            if not math.isfinite(ev[0]):
                 raise DivergenceError(t)
-            neg = int(ev_neg[0] < ev[0])
-            if neg:
-                x, ev = -x, ev_neg
-                negations.append(t)
+            if known is not None and bound.rules_out_flip(ev[0], x, *known):
+                neg = 0
+            else:
+                x_neg = -x
+                ev_neg = _evaluate(inst, x_neg)
+                sign_checks += 1
+                if not math.isfinite(ev_neg[0]):
+                    raise DivergenceError(t)
+                neg = int(ev_neg[0] < ev[0])
+                if neg:  # after the swap, x_neg is the side not taken
+                    x, x_neg, ev, ev_neg = x_neg, x, ev_neg, ev
+                    negations.append(t)
+                if bound is not None:
+                    known = (x_neg, ev_neg[0], math.sqrt(float(x_neg @ x_neg)))
             record(t, x, ev, neg)
             if cfg.trace_stride > 0 and t % cfg.trace_stride == 0:
                 stored.append((t, x.copy()))
@@ -395,7 +502,8 @@ def solve(inst, cfg):
     return SolveTrace(
         iters=arr[:, 0].astype(np.int64), f=arr[:, 1], latent_err=arr[:, 2],
         signal_err=arr[:, 3], negated=arr[:, 4].astype(np.int8),
-        negations=tuple(negations), n_steps=steps, alpha=alpha,
+        negations=tuple(negations), n_steps=steps, sign_checks=sign_checks,
+        alpha=alpha,
         contraction=contraction, stop_reason=stop_reason, final_x=x,
         final_f=ev[0], final_latent_err=float(arr[-1, 2]),
         final_signal_err=float(arr[-1, 3]),

@@ -6,11 +6,13 @@ import pickle
 import tracemalloc
 import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from gpnet import solvers
 from gpnet.errors import DivergenceError, ValidationError
+from gpnet.geometry import spectral_norm
 from gpnet.net import GenerativeNet, forward, sample_gaussian_net, save_net
 from gpnet.rng import DOMAIN_INSTANCE, sub_rng
 from gpnet.solvers import (SolverConfig, load_instance, loss, make_instance,
@@ -475,8 +477,10 @@ def test_solve_matches_six_sweep_reference(kind, kwargs, c_step, start):
 
 @pytest.mark.parametrize("kind,kwargs,c_step", _EVERY_KIND)
 def test_solve_sweeps_per_iteration(kind, kwargs, c_step, monkeypatch):
-    # two forward sweeps (x and -x) and one transposed sweep per iteration,
-    # plus one forward sweep for the final iterate
+    # one forward sweep at x, one at -x per sign check that the no-flip
+    # certificate could not skip, one transposed sweep per iteration, and
+    # one forward sweep for the final iterate; the spiked kinds check the
+    # sign in every iteration
     calls = {"forward": 0, "apply_masked_t": 0}
 
     def counted(name):
@@ -492,7 +496,127 @@ def test_solve_sweeps_per_iteration(kind, kwargs, c_step, monkeypatch):
         monkeypatch.setattr(solvers, name, counted(name))
     tr = solve(inst, SolverConfig(c_step=c_step, t_max=25, rel_step_tol=0.0, seed=2))
     assert tr.n_steps == 25
-    assert calls == {"forward": 2 * 25 + 1, "apply_masked_t": 25}
+    assert calls == {"forward": 25 + 1 + tr.sign_checks, "apply_masked_t": 25}
+    if kind.startswith("SPIKED"):
+        assert tr.sign_checks == 25
+
+
+# ---------------------------------------------------------------------------
+# the no-flip certificate that lets solve skip the sweep at -x
+# ---------------------------------------------------------------------------
+
+_RESIDUAL_KINDS = [
+    ("CS", {"m": 40, "sigma": 0.05}),
+    ("PR", {"m": 60, "sigma": 0.05}),
+    ("DEN", {"eta_norm": 0.1}),
+    ("CS", {"m": 40}),
+    ("PR", {"m": 60}),
+    ("DEN", {}),
+]
+
+
+def _residual(inst, y):
+    return solvers._OUTER[inst.kind].residual(inst, forward(inst.net, y)[-1])[0]
+
+
+def _residual_longdouble(inst, y):
+    """The residual at y in extended precision, a reference for rounding."""
+    g = np.asarray(y, dtype=np.longdouble)
+    for w in inst.net.weights:
+        g = np.maximum(w.astype(np.longdouble) @ g, 0.0)
+    if inst.kind == "DEN":
+        return inst.b - g
+    ag = inst.a.astype(np.longdouble) @ g
+    return inst.b - (ag if inst.kind == "CS" else np.abs(ag))
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("CS", {"m": 40}), ("PR", {"m": 60}), ("DEN", {}),
+    ("CS", {"m": 150, "dims": (8, 250, 600)}), ("DEN", {"dims": (8, 250, 600)}),
+])
+def test_flip_bound_lipschitz_above_spectral_product(kind, kwargs):
+    kwargs = dict(kwargs)
+    net = sample_gaussian_net(kwargs.pop("dims", (5, 40, 30)), seed=3)
+    inst = make_instance(kind, net, seed=5, **kwargs)
+    exact = math.prod(spectral_norm(w) for w in net.weights)
+    if inst.a is not None:
+        exact *= spectral_norm(inst.a)
+    assert solvers._FlipBound(inst).lip >= exact
+
+
+@pytest.mark.parametrize("kind,kwargs", _RESIDUAL_KINDS[:3])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_gap=st.floats(-6.0, 1.0))
+def test_flip_bound_residual_is_lipschitz(kind, kwargs, seed, log_gap):
+    inst = make_instance(kind, small_net(seed=3), seed=5, **kwargs)
+    lip = solvers._FlipBound(inst).lip
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(inst.net.k)
+    v = u + 10.0 ** log_gap * rng.standard_normal(inst.net.k)
+    assert np.linalg.norm(_residual(inst, u) - _residual(inst, v)) \
+        <= lip * np.linalg.norm(u - v)
+
+
+@pytest.mark.parametrize("kind,kwargs", _RESIDUAL_KINDS[:3])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 3.0))
+def test_flip_bound_covers_sweep_rounding(kind, kwargs, seed, log_scale):
+    # the margin's premise: |r^(y) - r(y)| <= c L |y| + c |r^(y)| + eta and
+    # f^(y) within c |r^(y)|^2 / 2 + eta_f of |r^(y)|^2 / 2
+    inst = make_instance(kind, small_net(seed=3), seed=5, **kwargs)
+    bound = solvers._FlipBound(inst)
+    y = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(inst.net.k)
+    r = _residual(inst, y)
+    r_norm = float(np.linalg.norm(r))
+    err = float(np.linalg.norm(r - _residual_longdouble(inst, y)))
+    assert err <= bound.c * (bound.lip * np.linalg.norm(y) + r_norm) + bound.eta
+    half_sq = 0.5 * np.sum(r.astype(np.longdouble) ** 2)
+    assert abs(loss(inst, y) - half_sq) <= bound.c * half_sq + bound.eta_f
+
+
+@pytest.mark.parametrize("kind,kwargs", _RESIDUAL_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), t=st.floats(-1.5, 1.5),
+       log_noise=st.floats(-8.0, 0.0), log_gap=st.floats(-12.0, 0.5))
+def test_flip_bound_claims_only_true_no_flips(kind, kwargs, seed, t, log_noise, log_gap):
+    inst = make_instance(kind, small_net(seed=3), seed=5, **kwargs)
+    bound = solvers._FlipBound(inst)
+    rng = np.random.default_rng(seed)
+    x = t * inst.x_star + 10.0 ** log_noise * rng.standard_normal(inst.net.k)
+    p = -x + 10.0 ** log_gap * rng.standard_normal(inst.net.k)
+    f_x = loss(inst, x)
+    if bound.rules_out_flip(f_x, x, p, loss(inst, p), float(np.linalg.norm(p))):
+        assert loss(inst, -x) >= f_x
+
+
+def test_flip_bound_refuses_a_tie():
+    # b midway between G(x0) and G(-x0): f(x0) and f(-x0) agree up to
+    # rounding, so neither side may be certified from the other's sweep
+    net = small_net(seed=3)
+    x0 = np.random.default_rng(4).standard_normal(net.k)
+    eta = 0.5 * (forward(net, -x0)[-1] - forward(net, x0)[-1])
+    inst = make_instance("DEN", net, x_star=x0, eta=eta)
+    bound = solvers._FlipBound(inst)
+    f_pos, f_neg = loss(inst, x0), loss(inst, -x0)
+    assert abs(f_pos - f_neg) <= 1e-14 * f_pos
+    norm = float(np.linalg.norm(x0))
+    assert not bound.rules_out_flip(f_pos, x0, -x0, f_neg, norm)
+    assert not bound.rules_out_flip(f_neg, -x0, x0, f_pos, norm)
+
+
+@pytest.mark.parametrize("kind,m", [("CS", 150), ("DEN", None), ("PR", 300)])
+def test_solve_matches_six_sweep_reference_on_recover_net(kind, m):
+    # the recover workload's shape and start; most sign checks are skipped
+    net = sample_gaussian_net((8, 250, 600), seed=0)
+    inst = make_instance(kind, net, m=m, seed=1)
+    x0 = solvers._start_point(inst, SolverConfig(seed=1))
+    cfg = SolverConfig(c_step=0.2, t_max=300, x0_mode="provided", x0=x0)
+    tr = solve(inst, cfg)
+    text, x_fin, _ = _reference_solve(inst, cfg)
+    assert tr.csv_text() == text
+    assert tr.final_x.tobytes() == x_fin.tobytes()
+    assert tr.negations == (0,)
+    assert tr.n_steps == 300 and tr.sign_checks < tr.n_steps
 
 
 @pytest.mark.parametrize("kind,kwargs", [
