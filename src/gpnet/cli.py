@@ -11,11 +11,9 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from .conditions import (log_piece_count_bounds, pattern_count_exact,
-                         r2wdc_deviation, reports_csv_text, rric_deviation,
-                         wdc_deviation, write_reports_csv)
+from .conditions import (_fmt, pattern_count_exact, r2wdc_deviation,
+                         reports_csv_text, rric_deviation, wdc_deviation,
+                         write_reports_csv)
 from .errors import DivergenceError, InfeasibleError, ValidationError
 from .harness import (_parse_recipe, default_jobs, parse_experiment_config,
                       run_condition_suite, run_experiment, summary_path_for,
@@ -92,9 +90,9 @@ def _cmd_recipe(args):
     if args.out:
         lines = ["layer,width,expansivity_margin,width_margin"]
         for i in range(rec.d):
-            lines.append(f"{i + 1},{rec.dims[i + 1]},"
-                         f"{float(rec.expansivity_margin[i])!r},"
-                         f"{float(rec.width_margin[i])!r}")
+            lines.append(",".join(map(_fmt, (i + 1, rec.dims[i + 1],
+                                             float(rec.expansivity_margin[i]),
+                                             float(rec.width_margin[i])))))
         _write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote margins to {args.out}")
     return 0

@@ -148,37 +148,43 @@ def masked_gram_deviation(w, r, s):
     return float(dev)
 
 
+def _sampled_report(kind, layer, samples, seed, value, **aux):
+    """Report the worst and median of value(rng) over sampled tuples.
+
+    Sample j calls value on its own sub-stream (seed, sample-domain, j),
+    so enlarging samples only appends tuples and the reported maximum is
+    monotone in samples.  value returns None for a tuple that falls under
+    the denominator guard; such tuples are skipped and counted.  aux
+    follows the median in the report's aux.
+    """
+    samples = int(samples)
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    vals = [value(sub_rng(seed, DOMAIN_SAMPLE, j)) for j in range(samples)]
+    kept = np.asarray([v for v in vals if v is not None])
+    if not kept.size:
+        raise ValidationError("all sampled tuples were degenerate")
+    return ConditionReport(kind=kind, layers=(int(layer),),
+                           eps_by_layer=(float(kept.max()),),
+                           samples=samples, skipped=samples - kept.size,
+                           seed=int(seed),
+                           aux={"median_deviation": float(np.median(kept)), **aux})
+
+
 def wdc_deviation(w, samples, seed, layer=1):
     """Worst masked-Gram deviation of one weight matrix over sampled pairs.
 
     Pair j draws two independent uniform unit vectors from sub-stream
-    (seed, sample-domain, j), so enlarging samples only appends pairs and
-    the reported maximum is monotone in samples.  aux carries the median
-    across pairs.
+    (seed, sample-domain, j); see _sampled_report.  aux carries the
+    median across pairs.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ValidationError(f"expected a matrix, got shape {w.shape}")
-    samples = int(samples)
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
     n = w.shape[1]
-    vals = []
-    for j in range(samples):
-        rng = sub_rng(seed, DOMAIN_SAMPLE, j)
-        r = unit_vector(rng, n)
-        s = unit_vector(rng, n)
-        vals.append(masked_gram_deviation(w, r, s))
-    vals = np.asarray(vals)
-    return ConditionReport(kind="WDC", layers=(int(layer),),
-                           eps_by_layer=(float(vals.max()),),
-                           samples=samples, seed=int(seed),
-                           aux={"median_deviation": float(np.median(vals))})
-
-
-def _range_diffs(net, upto, rng, count=4):
-    """count layer-`upto` outputs of fresh Gaussian latents, as a list."""
-    return [forward(net, rng.standard_normal(net.k))[upto] for _ in range(count)]
+    return _sampled_report(
+        "WDC", layer, samples, seed,
+        lambda rng: masked_gram_deviation(w, unit_vector(rng, n), unit_vector(rng, n)))
 
 
 def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
@@ -220,26 +226,10 @@ def r2wdc_deviation(net, layer, samples, seed):
     i = int(layer)
     if not 1 <= i <= net.depth:
         raise ValidationError(f"layer must be in 1..{net.depth}, got {i}")
-    samples = int(samples)
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    vals = []
-    skipped = 0
-    for j in range(samples):
-        rng = sub_rng(seed, DOMAIN_SAMPLE, j)
-        lat = [rng.standard_normal(net.k) for _ in range(6)]
-        v = r2wdc_tuple_value(net, i, *lat)
-        if v is None:
-            skipped += 1
-        else:
-            vals.append(v)
-    if not vals:
-        raise ValidationError("all sampled tuples were degenerate")
-    vals = np.asarray(vals)
-    return ConditionReport(kind="R2WDC", layers=(i,),
-                           eps_by_layer=(float(vals.max()),),
-                           samples=samples, skipped=skipped, seed=int(seed),
-                           aux={"median_deviation": float(np.median(vals))})
+    return _sampled_report(
+        "R2WDC", i, samples, seed,
+        lambda rng: r2wdc_tuple_value(net, i, *(rng.standard_normal(net.k)
+                                                for _ in range(6))))
 
 
 def rric_deviation(a, net, samples, seed):
@@ -248,36 +238,24 @@ def rric_deviation(a, net, samples, seed):
     Checks |<(A^T A - I) u, v>| <= eps |u| |v| for u, v differences of
     full-depth outputs G(x1) - G(x2), G(x3) - G(x4) over sampled Gaussian
     latents, computed as |<A u, A v> - <u, v>| to avoid forming A^T A.
+    Pairs with a difference under the denominator guard are skipped.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != net.n_out:
         raise ValidationError(
             f"measurement matrix must have {net.n_out} columns, got {a.shape}")
-    samples = int(samples)
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    vals = []
-    skipped = 0
-    for j in range(samples):
-        rng = sub_rng(seed, DOMAIN_SAMPLE, j)
-        g = _range_diffs(net, net.depth, rng)
+
+    def pair(rng):
+        g = [forward(net, rng.standard_normal(net.k))[-1] for _ in range(4)]
         u = g[0] - g[1]
         v = g[2] - g[3]
         nu = np.linalg.norm(u)
         nv = np.linalg.norm(v)
         if nu < _DENOM_TOL or nv < _DENOM_TOL:
-            skipped += 1
-            continue
-        dev = abs(float(np.dot(a @ u, a @ v) - np.dot(u, v))) / (nu * nv)
-        vals.append(dev)
-    if not vals:
-        raise ValidationError("all sampled tuples were degenerate")
-    vals = np.asarray(vals)
-    return ConditionReport(kind="RRIC", layers=(0,),
-                           eps_by_layer=(float(vals.max()),),
-                           samples=samples, skipped=skipped, seed=int(seed),
-                           aux={"median_deviation": float(np.median(vals)),
-                                "m": float(a.shape[0])})
+            return None
+        return abs(float(np.dot(a @ u, a @ v) - np.dot(u, v))) / (nu * nv)
+
+    return _sampled_report("RRIC", 0, samples, seed, pair, m=float(a.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -436,92 +414,74 @@ def _witnesses_ell2(p):
     return np.array(witnesses)
 
 
-def _orth_basis_of_plane(q):
+def _plane_frame(q):
+    """2 x 3 orthonormal basis of the plane with unit normal q."""
     ax = int(np.argmin(np.abs(q)))
     e = np.zeros(3)
     e[ax] = 1.0
     a = e - float(np.dot(q, e)) * q
     a /= np.linalg.norm(a)
-    b = np.cross(q, a)
-    return a, b
+    return np.array((a, np.cross(q, a)))
 
 
 def _witnesses_ell3(p):
-    m = p.shape[0]
-    nz = [j for j in range(m) if np.any(p[j] != 0.0)]
+    nz = p[np.any(p != 0.0, axis=1)]
     witnesses = []
-    if nz:
-        # one representative unit normal per distinct plane
-        units = {}
-        for j in nz:
-            u = p[j] / np.linalg.norm(p[j])
-            key = tuple(np.round(u if u[np.argmax(np.abs(u))] > 0 else -u, 12))
-            units.setdefault(key, u if u[np.argmax(np.abs(u))] > 0 else -u)
-        planes = list(units.values())
+    if len(nz):
+        # one representative unit normal per distinct plane, signed so that
+        # its largest entry is positive; the first row of each plane wins
+        u = nz / np.linalg.norm(nz, axis=1)[:, None]
+        lead = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
+        u = np.where((lead > 0)[:, None], u, -u)
+        _, first = np.unique(np.round(u, 12) + 0.0, axis=0, return_index=True)
+        planes = u[np.sort(first)]
 
         # walk each plane's unit circle: every chamber has a 2-face on some
         # plane, and the side steps off an arc midpoint land in the two
         # chambers adjacent to that face, so these witnesses reach them all
         for q in planes:
-            a, b = _orth_basis_of_plane(q)
-            cuts = []
-            others = [r for r in planes if abs(float(np.dot(r, q))) < 1.0 - 1e-12]
-            for r in others:
-                ca, cb = float(np.dot(r, a)), float(np.dot(r, b))
-                if abs(ca) < 1e-15 and abs(cb) < 1e-15:
-                    continue
-                psi = math.atan2(-ca, cb)
-                cuts.append(psi % (2.0 * math.pi))
-                cuts.append((psi + math.pi) % (2.0 * math.pi))
-            cuts = _dedupe_sorted_angles(cuts)
-            if not cuts:
-                mids = [0.0]
-            else:
-                mids = []
-                for t in range(len(cuts)):
-                    nxt = cuts[(t + 1) % len(cuts)]
-                    if t + 1 == len(cuts):
-                        nxt += 2.0 * math.pi
-                    mids.append(0.5 * (cuts[t] + nxt))
-            for mid in mids:
-                z = math.cos(mid) * a + math.sin(mid) * b
-                margins = [abs(float(np.dot(r, z))) for r in others]
-                step = min(1e-3, 0.5 * min(margins)) if margins else 1e-3
-                witnesses.append(z + step * q)
-                witnesses.append(z - step * q)
+            frame = _plane_frame(q)
+            others = planes[np.abs(planes @ q) < 1.0 - 1e-12]
+            z = _witnesses_ell2(others @ frame.T) @ frame
+            margin = np.abs(z @ others.T).min(axis=1, initial=np.inf)
+            step = np.minimum(1e-3, 0.5 * margin)[:, None]
+            witnesses += [z + step * q, z - step * q]
 
         # pairwise plane intersections, pushed into the four quadrants
-        for i1 in range(len(planes)):
-            for i2 in range(i1 + 1, len(planes)):
-                z0 = np.cross(planes[i1], planes[i2])
-                nz0 = np.linalg.norm(z0)
-                if nz0 <= 1e-12:
-                    continue
-                z0 = z0 / nz0
-                rest = [r for t, r in enumerate(planes) if t not in (i1, i2)]
-                margins = [abs(float(np.dot(r, z0))) for r in rest]
-                step = min(1e-3, 0.45 * min(margins)) if margins else 1e-3
-                for s1 in (-1.0, 1.0):
-                    for s2 in (-1.0, 1.0):
-                        witnesses.append(z0 + s1 * step * planes[i1]
-                                         + s2 * step * planes[i2])
+        i1, i2 = np.triu_indices(len(planes), 1)
+        z0 = np.cross(planes[i1], planes[i2])
+        nz0 = np.linalg.norm(z0, axis=1)
+        keep = nz0 > 1e-12
+        i1, i2, z0 = i1[keep], i2[keep], z0[keep] / nz0[keep, None]
+        margin = np.abs(z0 @ planes.T)
+        rows = np.arange(len(z0))
+        margin[rows, i1] = margin[rows, i2] = np.inf
+        step = np.minimum(1e-3, 0.45 * margin.min(axis=1, initial=np.inf))[:, None]
+        for s1 in (-1.0, 1.0):
+            for s2 in (-1.0, 1.0):
+                witnesses.append(z0 + s1 * step * planes[i1] + s2 * step * planes[i2])
 
     # fixed-seed jitter as a safety net on top of the deterministic walks
     rng = sub_rng(1729, DOMAIN_SAMPLE, 0)
-    for _ in range(_PATTERN_JITTER):
-        witnesses.append(unit_vector(rng, 3))
-    return np.array(witnesses)
+    witnesses.append([unit_vector(rng, 3) for _ in range(_PATTERN_JITTER)])
+    return np.concatenate(witnesses)
 
 
 def pattern_count_exact(w, basis):
     """Count the activation patterns diag(Wv > 0) realized over a subspace.
 
     basis is an (n, ell) matrix with independent columns spanning the
-    subspace, ell at most 3, and W at most 20 rows.  Counting is exact:
-    patterns are enumerated at witness points strictly inside the
-    chambers that the projected row hyperplanes carve out of R^ell
-    (points on the planes themselves realize no extra patterns beyond
-    the all-off coordinates they share with adjacent chambers).
+    subspace, ell at most 3, and W at most 20 rows.  Counting is exact for
+    generic arrangements and for exactly degenerate ones (zero, repeated
+    or negated rows, planes through one exactly shared line): patterns
+    are enumerated at witness points strictly inside the chambers that
+    the projected row hyperplanes carve out of R^ell (points on the
+    planes themselves realize no extra patterns beyond the all-off
+    coordinates they share with adjacent chambers).  When the planes are
+    degenerate only up to rounding, e.g. all contain one line to within
+    1e-16, the slivers between them sit below the witnesses' resolution
+    and the count falls anywhere between the degenerate and the generic
+    one.
     """
     w = np.asarray(w, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)

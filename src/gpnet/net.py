@@ -20,7 +20,7 @@ and G_j(x) = Lambda_j x exactly.  The mask rule is strict (> 0), so the
 path is well defined even on a boundary, where it picks the closed side.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 import math
 import os
@@ -36,6 +36,25 @@ MAGIC = b"GPNET1\x00"
 def _freeze(a):
     a.flags.writeable = False
     return a
+
+
+def _same(a, b):
+    """Value equality that compares numpy arrays by shape and entries, also
+    inside tuples."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _fields_eq(self, other):
+    """__eq__ for dataclasses with array fields: same type, and every field
+    equal under _same."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(_same(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self))
 
 
 def _gamma(n):
@@ -69,10 +88,13 @@ def _as_vector(x, dim, name="x"):
 
 @dataclass(frozen=True)
 class GenerativeNet:
-    """Immutable ReLU network: dims (n_0=k, n_1, ..., n_d) and weights."""
+    """Immutable ReLU network: dims (n_0=k, n_1, ..., n_d) and weights.
+    Equality compares the weights by value."""
 
     dims: tuple
     weights: tuple
+
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)

@@ -41,7 +41,7 @@ planted noiseless Wigner latent.  CS, PR and DEN compute |r|^2 / 2 from
 the residual itself and are exactly 0 there.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 import io
 import math
@@ -50,8 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .net import (GenerativeNet, _gamma, _read_exact, apply_masked_t, forward,
-                  load_net, save_net)
+from .conditions import _fmt
+from .net import (GenerativeNet, _fields_eq, _gamma, _read_exact, apply_masked_t,
+                  forward, load_net, save_net)
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 
 KINDS = ("CS", "PR", "DEN", "SPIKED_WISHART", "SPIKED_WIGNER")
@@ -61,7 +62,8 @@ _X_STAR, _A_MAT, _ETA, _SPIKE_U, _SPIKE_Z, _SPIKE_H = range(6)
 
 @dataclass(frozen=True)
 class Instance:
-    """One recovery problem: model kind, net, planted signal and data."""
+    """One recovery problem: model kind, net, planted signal and data.
+    Equality compares the arrays by value."""
 
     kind: str
     net: GenerativeNet
@@ -74,6 +76,8 @@ class Instance:
     sigma: float = 0.0
     n_samples: int | None = None
     seed: int = 0
+
+    __eq__ = _fields_eq
 
     @cached_property
     def m_sq_norm(self):
@@ -301,12 +305,7 @@ class SolverConfig:
         if int(self.trace_stride) < 0:
             raise ValidationError("trace_stride must be >= 0")
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.x0, other.x0) and all(
-            getattr(self, f.name) == getattr(other, f.name)
-            for f in fields(self) if f.name != "x0")
+    __eq__ = _fields_eq
 
 
 @dataclass(frozen=True)
@@ -344,7 +343,8 @@ class SolveTrace:
         buf.write("iter,f,latent_err,signal_err,negated\n")
         for t, fv, le, se, ng in zip(self.iters, self.f, self.latent_err,
                                      self.signal_err, self.negated):
-            buf.write(f"{int(t)},{float(fv)!r},{float(le)!r},{float(se)!r},{int(ng)}\n")
+            row = (int(t), float(fv), float(le), float(se), int(ng))
+            buf.write(",".join(map(_fmt, row)) + "\n")
         return buf.getvalue()
 
     def to_csv(self, path):

@@ -11,7 +11,7 @@ from gpnet.conditions import (ConditionReport, activation_gram_mc,
                               masked_gram_deviation, noise_coupling,
                               norm_angle_report, omega, pattern_count_exact,
                               r2wdc_deviation, r2wdc_tuple_value, reports_csv_text,
-                              wdc_deviation, write_reports_csv)
+                              rric_deviation, wdc_deviation, write_reports_csv)
 from gpnet import conditions
 from gpnet.errors import ValidationError
 from gpnet.geometry import DistortionMatrix, q_matrix, spectral_norm
@@ -208,6 +208,32 @@ def test_r2wdc_counts_degenerate_tuples():
     assert math.isfinite(rep.max_eps)
 
 
+def test_all_degenerate_tuples_raise():
+    # a zero first layer sends every latent to the zero output, so every
+    # range difference falls under the guard
+    net = GenerativeNet(dims=(2, 3, 2), weights=(np.zeros((3, 2)), np.ones((2, 3))))
+    with pytest.raises(ValidationError, match="degenerate"):
+        r2wdc_deviation(net, 2, samples=5, seed=0)
+    with pytest.raises(ValidationError, match="degenerate"):
+        rric_deviation(np.eye(2), net, samples=5, seed=0)
+
+
+def test_rric_counts_degenerate_pairs():
+    # G(x) = relu(-x) (1, 1) vanishes for x > 0, so a pair is skipped when
+    # both latents of a difference are positive
+    net = GenerativeNet(dims=(1, 2, 2), weights=(np.array([[-1.0], [-1.0]]), np.eye(2)))
+    samples = 60
+    rep = rric_deviation(np.eye(2), net, samples=samples, seed=0)
+    kept = 0
+    for j in range(samples):
+        rng = sub_rng(0, DOMAIN_SAMPLE, j)
+        x = [rng.standard_normal(1)[0] for _ in range(4)]
+        kept += bool(min(x[0], x[1]) < 0.0 and min(x[2], x[3]) < 0.0)
+    assert 0 < kept < samples
+    assert rep.skipped == samples - kept
+    assert rep.max_eps <= 1e-12  # A = I leaves every kept pair exact
+
+
 def test_r2wdc_layer_validation():
     net = desk_net()
     with pytest.raises(ValidationError):
@@ -378,6 +404,33 @@ def test_patterns_space_shared_axis_degenerate():
                   [1.0, 1.0, 0.0]])
     pc = pattern_count_exact(w, np.eye(3))
     assert pc.count == 6
+    # five planes through the z axis with exactly representable normals:
+    # five lines in the quotient plane, ten chambers
+    five = np.array([[1.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0],
+                     [1.0, 1.0, 0.0],
+                     [1.0, -1.0, 0.0],
+                     [1.0, 2.0, 0.0]])
+    assert pattern_count_exact(five, np.eye(3)).count == 10
+    # a repeated plane, a negated plane and a zero row add no chamber
+    extra = np.vstack((five, 3.0 * five[2], -five[4], np.zeros(3)))
+    pc = pattern_count_exact(extra, np.eye(3))
+    assert pc.count == 10
+    assert all(pat[7] == 0 for pat in pc.patterns)
+
+
+def test_patterns_ell3_circle_walk_reaches_every_chamber():
+    # generic planes: the circle walk gives two side steps per arc,
+    # 2 (m - 1) arcs per plane, then come four quadrant points per plane
+    # pair and the jitter net; the walk alone must find all m^2 - m + 2
+    # chambers, since every chamber has a 2-face on some plane
+    for m in (2, 3, 8, 14, 20):
+        rng = np.random.default_rng(300 + m)
+        p = rng.standard_normal((m, 9)) @ rng.standard_normal((9, 3))
+        wit = conditions._witnesses_ell3(p)
+        n_walk = 4 * m * (m - 1)
+        assert len(wit) == n_walk + 2 * m * (m - 1) + conditions._PATTERN_JITTER
+        assert len(conditions._patterns_at(p, wit[:n_walk])) == m * m - m + 2, m
 
 
 def test_patterns_with_zero_rows():

@@ -298,6 +298,20 @@ def test_config_equality_with_array_start():
     assert SolverConfig(t_max=7) == SolverConfig(t_max=7)
 
 
+def test_net_and_instance_value_equality():
+    net = sample_gaussian_net((3, 4), 1)
+    assert net == sample_gaussian_net((3, 4), 1)
+    assert net != sample_gaussian_net((3, 4), 2)
+    assert net != sample_gaussian_net((3, 5), 1)
+    assert net != "net"
+    inst = make_instance("CS", net, m=3, seed=5)
+    assert inst == make_instance("CS", sample_gaussian_net((3, 4), 1), m=3, seed=5)
+    assert inst != make_instance("CS", net, m=3, seed=6)
+    assert inst != make_instance("CS", sample_gaussian_net((3, 4), 2), m=3, seed=5)
+    assert inst != make_instance("PR", net, m=3, seed=5)
+    assert inst != make_instance("DEN", net, seed=5)
+
+
 def test_alpha_and_contraction_fields():
     net = small_net()
     inst = make_instance("DEN", net, seed=0)
