@@ -206,32 +206,53 @@ def write_experiment_csvs(rows, summary, path):
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _parse_numbers(text):
+def _number(text, where, kind=float):
+    """text read as a finite int or float; a ValidationError naming where
+    (the INI section and key) otherwise."""
+    text = text.strip()
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{where} must be {what}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {text!r}")
+    return value
+
+
+def _ini_number(cp, section, key, default, kind=float):
+    """The numeric field [section] key of cp, or default when it is absent."""
+    if section not in cp or key not in cp[section]:
+        return default
+    return _number(cp[section][key], f"[{section}] {key}", kind)
+
+
+def _parse_numbers(text, where):
     out = []
     for tok in text.replace(";", ",").split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            f = float(tok)
-        except ValueError:
-            raise ValidationError(f"bad number {tok!r} in config") from None
-        out.append(int(f) if f == int(f) else f)
+        if tok.strip():
+            f = _number(tok, where)
+            out.append(int(f) if f == int(f) else f)
     return tuple(out)
 
 
+def _parse_ints(text, where):
+    values = _parse_numbers(text, where)
+    if not all(isinstance(v, int) for v in values):
+        raise ValidationError(f"{where} must list integers, got {text.strip()!r}")
+    return values
+
+
 def _parse_seeds(text):
+    where = "[experiment] seeds"
     text = text.strip()
     if ":" in text:
         lo, _, hi = text.partition(":")
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError:
-            raise ValidationError(f"bad seed range {text!r}") from None
+        lo, hi = _number(lo, where, int), _number(hi, where, int)
         if hi <= lo:
             raise ValidationError(f"empty seed range {text!r}")
         return tuple(range(lo, hi))
-    return tuple(int(v) for v in _parse_numbers(text))
+    return _parse_ints(text, where)
 
 
 def _parse_recipe(text):
@@ -279,38 +300,36 @@ def parse_experiment_config(text):
         raise ValidationError("config needs a [net] section")
     netsec = cp["net"]
     if "dims" in netsec:
-        dims = tuple(int(v) for v in _parse_numbers(netsec["dims"]))
+        dims = _parse_ints(netsec["dims"], "[net] dims")
     elif "recipe" in netsec:
         dims = _parse_recipe(netsec["recipe"]).dims
     else:
         raise ValidationError("[net] needs dims or recipe")
 
-    inst = cp["instance"] if "instance" in cp else {}
-    sol = cp["solver"] if "solver" in cp else {}
     solver = SolverConfig(
-        c_step=float(sol.get("c_step", 0.2)),
-        t_max=int(sol.get("t_max", 1000)),
-        rel_step_tol=float(sol.get("rel_step_tol", 1e-12)))
+        c_step=_ini_number(cp, "solver", "c_step", 0.2),
+        t_max=_ini_number(cp, "solver", "t_max", 1000, int),
+        rel_step_tol=_ini_number(cp, "solver", "rel_step_tol", 1e-12))
 
     out = None
     if "output" in cp and "path" in cp["output"]:
         out = cp["output"]["path"]
 
-    def opt_int(sec, key):
-        return int(sec[key]) if key in sec else None
-
+    sweep = exp["sweep"].strip()
+    # m, width and depth are counts; only sigma takes fractional values
+    parse_values = _parse_numbers if sweep == "sigma" else _parse_ints
     return ExperimentSpec(
         name=exp.get("name", "experiment"),
         kind=exp["kind"].strip(),
-        sweep_axis=exp["sweep"].strip(),
-        sweep_values=_parse_numbers(exp["values"]),
+        sweep_axis=sweep,
+        sweep_values=parse_values(exp["values"], "[experiment] values"),
         seeds=_parse_seeds(exp["seeds"]),
         dims=dims,
-        net_seed=int(netsec.get("seed", 0)),
-        m=opt_int(inst, "m"),
-        sigma=float(inst.get("sigma", 0.0)),
-        eta_norm=float(inst["eta_norm"]) if "eta_norm" in inst else None,
-        n_samples=opt_int(inst, "n_samples"),
+        net_seed=_ini_number(cp, "net", "seed", 0, int),
+        m=_ini_number(cp, "instance", "m", None, int),
+        sigma=_ini_number(cp, "instance", "sigma", 0.0),
+        eta_norm=_ini_number(cp, "instance", "eta_norm", None),
+        n_samples=_ini_number(cp, "instance", "n_samples", None, int),
         solver=solver,
         out=out)
 
@@ -333,8 +352,10 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
     pairs = int(pairs)
     if samples < 1 or pairs < 1:
         raise ValidationError("samples and pairs must be >= 1")
-    d = net.depth
     eps = float(eps_ref)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValidationError(f"eps_ref must be finite and positive, got {eps_ref!r}")
+    d = net.depth
     reports = []
     for i in range(1, d + 1):
         reports.append(wdc_deviation(net.weights[i - 1], samples, seed, layer=i))

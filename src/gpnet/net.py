@@ -78,10 +78,11 @@ def _norm_bound(w):
 
 
 def _as_vector(x, dim, name="x"):
-    x = np.asarray(x, dtype=np.float64)
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != dim:
         raise ValidationError(f"{name} must be a vector of length {dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return x
 
@@ -212,9 +213,9 @@ def linear_path(net, x):
 
 
 def apply_masked_t(net, masks, w_vec):
-    """Matrix-free Lambda_d^T w for a fixed mask set."""
+    """Matrix-free Lambda_d^T w for a fixed mask sequence."""
     v = np.asarray(w_vec, dtype=np.float64)
-    for w, m in zip(reversed(net.weights), reversed(list(masks))):
+    for w, m in zip(net.weights[::-1], masks[::-1]):
         v = w.T @ (m * v)
     return v
 

@@ -23,14 +23,16 @@ cannot fire, one at -x, each giving the loss, the layer outputs (hence
 the relu masks) and the outer residual; then one transposed sweep on the
 winner's masks for the subgradient.  The winner's sweep also supplies
 G(x) for the trace row, and the final iterate costs one more forward
-sweep.  The certificate (CS, PR and DEN only; see solve) skips the -x
-sweep in most iterations once the iterate has settled in x_star's basin,
-where f(x) -> 0 while f(-x) stays of order one, and it never changes a
-decision, so the trace bytes are those of the loop that always sweeps.
+sweep.  The certificate (one per kind, through the table below; see
+solve) skips the -x sweep in most iterations once the iterate has
+settled in x_star's basin, where f(x) is small while f(-x) stays of
+order one, and it never changes a decision, so the trace bytes are those
+of the loop that always sweeps.
 
 One table row per kind maps G(x) = g to its residual, loss and outer
-gradient w (the subgradient is Lambda_x^T w).  The spiked rows never form
-the n_out x n_out residual M - g g^T: one matvec gives M g, and
+gradient w (the subgradient is Lambda_x^T w), and names its no-flip
+certificate.  The spiked rows never form the n_out x n_out residual
+M - g g^T: one matvec gives M g, and
 
     f = (|M|_F^2 - 2 g^T M g + |g|^4) / 2,    w = -2 (M g - |g|^2 g),
 
@@ -58,6 +60,7 @@ from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 KINDS = ("CS", "PR", "DEN", "SPIKED_WISHART", "SPIKED_WIGNER")
 
 _X_STAR, _A_MAT, _ETA, _SPIKE_U, _SPIKE_Z, _SPIKE_H = range(6)
+_ROW_BLOCK = 256  # rows of B per u y_star^T block, so no N x n_out temporary
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,14 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
         u = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_U).standard_normal(n_samples)
         z = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_Z).standard_normal((n_samples, n_out))
         z *= sigma  # B = u y_star^T + sigma Z, built in place in z
-        z += np.outer(u, y_star)
-        raw = z.T @ z / n_samples - sigma ** 2 * np.eye(n_out)
-        m_obs = (raw + raw.T) / 2.0
+        for i in range(0, n_samples, _ROW_BLOCK):
+            z[i:i + _ROW_BLOCK] += np.outer(u[i:i + _ROW_BLOCK], y_star)
+        raw = z.T @ z
+        del z
+        raw /= n_samples
+        raw[np.diag_indices(n_out)] -= sigma ** 2
+        m_obs = raw + raw.T
+        m_obs /= 2.0
         b = None
     else:  # SPIKED_WIGNER
         s = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_H).standard_normal((n_out, n_out))
@@ -178,12 +186,15 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
 class _Outer(NamedTuple):
     """How one kind turns G(x) into its loss and outer gradient w."""
 
-    residual: object  # (inst, g) -> tuple of what loss and gradient reuse
-    loss: object      # (inst, g, res) -> float
-    gradient: object  # (inst, g, res) -> w, the gradient of f in G(x)
-    # inst -> upper bound on the Lipschitz constant of g -> r and on the
-    # spectral norm of its entrywise |.|; None where f is not |r|^2 / 2
-    lipschitz: object
+    residual: object     # (inst, g) -> tuple of what loss and gradient reuse
+    loss: object         # (inst, g, res) -> float
+    gradient: object     # (inst, g, res) -> w, the gradient of f in G(x)
+    certificate: object  # inst -> the no-flip certificate of solve
+
+
+def _norm(v):
+    """|v| of a float64 vector, computed as np.linalg.norm does."""
+    return math.sqrt(float(v.dot(v)))
 
 
 def _half_sq(inst, g, res):
@@ -215,22 +226,103 @@ def _spiked_loss(inst, g, res):
     return 0.5 * (inst.m_sq_norm - 2.0 * float(g @ mg) + gg * gg)
 
 
-def _a_norm_bound(inst):
-    # |A|_F bounds |A|_2 and |(|A|)|_2 with no |A| temporary per instance;
-    # lifted above the rounding of its sum
-    a = inst.a
-    return math.sqrt(float(np.einsum("ij,ij->", a, a))) * (1.0 + 2.0 * _gamma(a.size + 4))
+class _FlipBound:
+    """The no-flip certificate of solve for one CS, PR or DEN instance.
+
+    c, lip (L), growth (P), eta and eta_f are the constants of the
+    rounding margin derived in the solve docstring.
+    """
+
+    def __init__(self, inst):
+        net = inst.net
+        m = len(inst.b)
+        if inst.a is None:  # DEN: r = b - G
+            l_outer, count = 1.0, 0
+        else:  # |A|_F bounds |A|_2 and |(|A|)|_2, lifted above its rounding
+            a = inst.a
+            l_outer = math.sqrt(float(np.einsum("ij,ij->", a, a))) \
+                * (1.0 + 2.0 * _gamma(a.size + 4))
+            count = net.n_out
+        self._sweep_margin(net, count + sum(net.dims[:-1]) + m + net.k + net.depth + 64,
+                           l_outer, m)
+        self.eta_f = m * 2.0 ** -1000
+
+    def _sweep_margin(self, net, count, l_outer, width):
+        betas = net.norm_bounds
+        self.c = _gamma(count)
+        self.lip = l_outer * math.prod(betas)
+        self.growth = max(1.0, l_outer) * math.prod(max(1.0, b) for b in betas)
+        self.eta = count * max(net.dims + (width,)) * self.growth * 2.0 ** -1000
+
+    def known(self, p, ev):
+        """What rules_out_flip needs of the sweep ev at p."""
+        return p, ev[0], _norm(p)
+
+    def _far(self, x, p, p_norm):
+        """(|x|, a bound on how far the computed sweep at -x lands from the
+        one at p: residuals here, net outputs for the spiked kinds)."""
+        c = self.c
+        x_norm = _norm(x)
+        return x_norm, (self.lip * (_norm(x + p) + c * (x_norm + p_norm)) * (1.0 + c)
+                        + 2.0 * self.eta)
+
+    def rules_out_flip(self, f_x, x, p, f_p, p_norm):
+        """True when f^(-x) >= f^(x) is certain, from the sweep at p."""
+        c = self.c
+        x_norm, far = self._far(x, p, p_norm)
+        near = math.sqrt(max(2.0 * (f_p - self.eta_f), 0.0))
+        lo = near * (1.0 - 4.0 * c) - far
+        return (lo > 0.0 and 0.5 * lo * lo * (1.0 - 4.0 * c) > f_x + self.eta_f
+                and near + far + self.growth * x_norm < 2.0 ** 400)
+
+
+class _SpikedFlipBound(_FlipBound):
+    """The no-flip certificate of solve for one spiked instance.
+
+    lip is L_G alone, and e and eta_f bound the error of the expanded
+    loss; see the solve docstring.
+    """
+
+    def __init__(self, inst):
+        net = inst.net
+        n = net.n_out
+        self._sweep_margin(net, sum(net.dims) + net.k + net.depth + 64, 1.0, n)
+        self.m_sq_norm = inst.m_sq_norm
+        self.e = (n * n + 4 * n + 6) * 2.0 ** -52
+        self.eta_f = (n + 1) ** 2 * 2.0 ** -1000
+
+    def known(self, p, ev):
+        return p, ev[0], _norm(p), math.sqrt(ev[2][1])
+
+    def _loss_error(self, g_norm):
+        """Bound on |f^ - |M - g g^T|_F^2 / 2| at a computed G = g, |g| <= g_norm."""
+        q = g_norm * g_norm
+        return self.e * (self.m_sq_norm + q * q) + self.eta_f * (1.0 + q)
+
+    def rules_out_flip(self, f_x, x, p, f_p, p_norm, g_norm):
+        """True when f^(-x) >= f^(x) is certain, from the sweep at p, whose
+        computed G(p) has norm g_norm."""
+        c = self.c
+        x_norm, dist = self._far(x, p, p_norm)
+        h = g_norm * (1.0 + c)
+        top = h + dist
+        near = math.sqrt(max(2.0 * (f_p - self._loss_error(h)), 0.0))
+        lo = near * (1.0 - 4.0 * c) - dist * (h + top) * (1.0 + c)
+        return (lo > 0.0
+                and 0.5 * lo * lo * (1.0 - 4.0 * c) > f_x + self._loss_error(top)
+                and math.sqrt(self.m_sq_norm) + top * top + self.growth * x_norm
+                < 2.0 ** 400)
 
 
 _SPIKED = _Outer(_spiked, _spiked_loss, lambda inst, g, res: -2.0 * (res[0] - res[1] * g),
-                 None)
+                 _SpikedFlipBound)
 
 _OUTER = {
     "CS": _Outer(_cs, _half_sq, lambda inst, g, res: inst.a.T @ (res[1] - inst.b),
-                 _a_norm_bound),
-    "PR": _Outer(_pr, _half_sq, _pr_gradient, _a_norm_bound),
+                 _FlipBound),
+    "PR": _Outer(_pr, _half_sq, _pr_gradient, _FlipBound),
     "DEN": _Outer(lambda inst, g: (inst.b - g,), _half_sq, lambda inst, g, res: g - inst.b,
-                  lambda inst: 1.0),
+                  _FlipBound),
     "SPIKED_WISHART": _SPIKED,
     "SPIKED_WIGNER": _SPIKED,
 }
@@ -296,7 +388,7 @@ class SolverConfig:
             raise ValidationError("c_step must be positive")
         if int(self.t_max) < 0:
             raise ValidationError("t_max must be >= 0")
-        if self.rel_step_tol < 0.0:
+        if not self.rel_step_tol >= 0.0:
             raise ValidationError("rel_step_tol must be nonnegative")
         if self.x0_mode not in ("gaussian_unit", "provided"):
             raise ValidationError(f"unknown x0_mode {self.x0_mode!r}")
@@ -361,39 +453,6 @@ def _start_point(inst, cfg):
     return unit_vector(sub_rng(cfg.seed, DOMAIN_X0, 0), inst.net.k)
 
 
-class _FlipBound:
-    """The no-flip certificate of solve for one CS, PR or DEN instance.
-
-    c, lip (L), growth (P), eta and eta_f are the constants of the
-    rounding margin derived in the solve docstring.
-    """
-
-    def __init__(self, inst):
-        net = inst.net
-        betas = net.norm_bounds
-        l_outer = _OUTER[inst.kind].lipschitz(inst)
-        m = len(inst.b)
-        count = (sum(net.dims[:-1]) + (net.n_out if inst.a is not None else 0)
-                 + m + net.k + net.depth + 64)
-        self.c = _gamma(count)
-        self.lip = l_outer * math.prod(betas)
-        self.growth = max(1.0, l_outer) * math.prod(max(1.0, b) for b in betas)
-        self.eta = count * max(net.dims + (m,)) * self.growth * 2.0 ** -1000
-        self.eta_f = m * 2.0 ** -1000
-
-    def rules_out_flip(self, f_x, x, p, f_p, p_norm):
-        """True when f^(-x) >= f^(x) is certain, from the sweep at p."""
-        c = self.c
-        x_norm = math.sqrt(float(x @ x))
-        s = x + p
-        far = (self.lip * (math.sqrt(float(s @ s)) + c * (x_norm + p_norm)) * (1.0 + c)
-               + 2.0 * self.eta)
-        near = math.sqrt(max(2.0 * (f_p - self.eta_f), 0.0))
-        lo = near * (1.0 - 4.0 * c) - far
-        return (lo > 0.0 and 0.5 * lo * lo * (1.0 - 4.0 * c) > f_x + self.eta_f
-                and near + far + self.growth * x_norm < 2.0 ** 400)
-
-
 def solve(inst, cfg):
     """Run negated subgradient descent; returns the SolveTrace.
 
@@ -408,7 +467,16 @@ def solve(inst, cfg):
     swept besides x: -x after a check that kept x, the pre-flip x after a
     flip.  Then |r(-x)| >= |r(p)| - L |x + p|, and the sweep at -x is
     skipped when that bound, carried through the rounding below, proves
-    f^(-x) >= f^(x).  The spiked kinds always sweep.
+    f^(-x) >= f^(x).
+
+    The spiked kinds have f = |R|_F^2 / 2 with R(y) = M - G(y) G(y)^T.
+    Since a a^T - b b^T = (a - b) a^T + b (a - b)^T, |a a^T - b b^T|_F <=
+    |a - b| (|a| + |b|), and G is L_G-Lipschitz with L_G = prod_i beta_i:
+
+        |R(-x)|_F >= |R(p)|_F - (2 |G(p)| + L_G |x + p|) L_G |x + p|.
+
+    The spiked table keeps g . g from the sweep at p, so |G(p)| costs
+    no extra work.
 
     Rounding margin, with u = 2^-53 and gamma_n = n u / (1 - n u):
     - A float matvec obeys |fl(W v) - W v| <= gamma_n |W| |v| entrywise
@@ -440,12 +508,34 @@ def solve(inst, cfg):
       rho = sqrt(2 f^(p)).  The test requires their sum to stay below
       2^400, so no entry, square or sum of the sweep can overflow and
       f^(-x) is finite.
+
+    The spiked margin (_SpikedFlipBound) works with the computed outputs
+    g^(y) themselves and needs the sweep error only between two of them:
+    - The same induction puts g^(y) within c L_G |y| + eta of G(y), with
+      c = gamma_T, T = n_0 + ... + n_d + k + d + 64 and P = prod max(1,
+      beta_i).  So |g^(-x) - g^(p)| <= D = L_G (|x + p| + c (|x| + |p|))
+      + 2 eta, and |g^(p)| <= h = (1 + c) sqrt(fl(g^(p) . g^(p))).
+    - The expanded loss at a computed g lies within E(|g|) =
+      (n^2 + 4n + 6) eps (|M|_F^2 + |g|^4) + eta_f (1 + |g|^2) of
+      |M - g g^T|_F^2 / 2, with n = n_out, eps = 2u and eta_f =
+      (n + 1)^2 2^-1000 for underflow.  The relative part is about four
+      times the table's own error (derived next to _spiked_loss_bound in
+      the tests), which absorbs the rounding of Instance.m_sq_norm, of h
+      and of E itself.
+    - |M - g^(p) g^(p)^T|_F >= sqrt(2 (f^(p) - E(h))), and the rank-one
+      step costs at most D (2 h + D).  With lo the difference of the two,
+      |M - g^(-x) g^(-x)^T|_F >= lo and |g^(-x)| <= h + D, so
+      lo > 0 and lo^2 / 2 > f^(x) + E(h + D) rule the flip out.  The
+      same 1 - 4c and 1 + c slacks absorb the certificate's roundings.
+    - Overflow: the -x sweep's layer outputs stay below P |x|, and M g,
+      g . M g, |g|^4 and their sum below (|M|_F + |g|^2)^2.  The test
+      requires |M|_F + (h + D)^2 + P |x| < 2^400.
     """
     d = inst.net.depth
     alpha = cfg.c_step * 2.0 ** d / d ** 2
     contraction = 1.0 - (7.0 / 8.0) * alpha / 2.0 ** d
     x = _start_point(inst, cfg)
-    bound = None if _OUTER[inst.kind].lipschitz is None else _FlipBound(inst)
+    bound = _OUTER[inst.kind].certificate(inst)
 
     rows = []
     negations = []
@@ -453,11 +543,11 @@ def solve(inst, cfg):
     stop_reason = "t_max"
     steps = 0
     sign_checks = 0
-    known = None  # (p, f^(p), |p|) once a sweep at a -x side has run
+    known = None  # bound.known of the last sweep on the side not taken
 
     def record(t, x_cur, ev, neg):
-        rows.append((t, ev[0], float(np.linalg.norm(x_cur - inst.x_star)),
-                     float(np.linalg.norm(ev[1][-1] - inst.y_star)), neg))
+        rows.append((t, ev[0], _norm(x_cur - inst.x_star),
+                     _norm(ev[1][-1] - inst.y_star), neg))
 
     # overflow becomes inf, which the finiteness checks turn into errors
     with np.errstate(over="ignore", invalid="ignore"):
@@ -477,15 +567,14 @@ def solve(inst, cfg):
                 if neg:  # after the swap, x_neg is the side not taken
                     x, x_neg, ev, ev_neg = x_neg, x, ev_neg, ev
                     negations.append(t)
-                if bound is not None:
-                    known = (x_neg, ev_neg[0], math.sqrt(float(x_neg @ x_neg)))
+                known = bound.known(x_neg, ev_neg)
             record(t, x, ev, neg)
             if cfg.trace_stride > 0 and t % cfg.trace_stride == 0:
                 stored.append((t, x.copy()))
             x_new = x - alpha * _subgradient_at(inst, *ev[1:])
-            if not np.all(np.isfinite(x_new)):
+            if not np.isfinite(x_new).all():
                 raise DivergenceError(t)
-            small = np.linalg.norm(x_new - x) <= cfg.rel_step_tol * np.linalg.norm(x)
+            small = _norm(x_new - x) <= cfg.rel_step_tol * _norm(x)
             x = x_new
             steps = t + 1
             if small:
@@ -497,8 +586,8 @@ def solve(inst, cfg):
         record(steps, x, ev, 0)
 
     arr = np.asarray(rows, dtype=np.float64)
-    ns = float(np.linalg.norm(inst.x_star))
-    ny = float(np.linalg.norm(inst.y_star))
+    ns = _norm(inst.x_star)
+    ny = _norm(inst.y_star)
     return SolveTrace(
         iters=arr[:, 0].astype(np.int64), f=arr[:, 1], latent_err=arr[:, 2],
         signal_err=arr[:, 3], negated=arr[:, 4].astype(np.int8),

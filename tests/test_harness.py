@@ -391,3 +391,58 @@ def test_cli_rejects_bad_sizes_and_stride(tmp_path, capsys):
                  "--trace-stride", "-5", "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.count("error:") == 4
+
+
+@pytest.mark.parametrize("old,new,where", [
+    ("values = 100, 200", "values = inf", "[experiment] values"),
+    ("values = 100, 200", "values = 100, nan", "[experiment] values"),
+    ("values = 100, 200", "values = 100, 200.5", "[experiment] values"),
+    ("seeds = 0:3", "seeds = 0:abc", "[experiment] seeds"),
+    ("seeds = 0:3", "seeds = 0, 1.5", "[experiment] seeds"),
+    ("dims = 8, 250, 600", "dims = 8, 250.5, 600", "[net] dims"),
+    ("seed = 11", "seed = abc", "[net] seed"),
+    ("seed = 11", "seed = 1e3", "[net] seed"),
+    ("seeds = 0:3", "seeds = 1e400", "[experiment] seeds"),
+    ("eta_norm = 0.1", "eta_norm = 0.1\nm = abc", "[instance] m"),
+    ("eta_norm = 0.1", "eta_norm = 0.1\nn_samples = 1e3", "[instance] n_samples"),
+    ("eta_norm = 0.1", "eta_norm = 0.1\nsigma = inf", "[instance] sigma"),
+    ("eta_norm = 0.1", "eta_norm = nan", "[instance] eta_norm"),
+    ("c_step = 0.2", "c_step = fast", "[solver] c_step"),
+    ("t_max = 300", "t_max = abc", "[solver] t_max"),
+    ("t_max = 300", "t_max = 1e3", "[solver] t_max"),
+    ("t_max = 300", "t_max = 300\nrel_step_tol = nan", "[solver] rel_step_tol"),
+])
+def test_cli_rejects_bad_config_numbers(tmp_path, capsys, old, new, where):
+    cfg = tmp_path / "exp.ini"
+    assert old in CONFIG
+    cfg.write_text(CONFIG.replace(old, new, 1))
+    assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+                 "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_solver_config_rejects_nan_step_tolerance(capsys):
+    with pytest.raises(ValidationError, match="rel_step_tol"):
+        SolverConfig(rel_step_tol=math.nan)
+    assert main(["solve", "--dims", "4,20,10", "--kind", "DEN", "--t-max", "3",
+                 "--rel-step-tol", "nan"]) == 1
+    assert "rel_step_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_ref", [math.nan, math.inf, -1.0, 0.0])
+def test_suite_rejects_bad_eps_ref(eps_ref):
+    net = sample_gaussian_net((3, 20, 15), 0)
+    with pytest.raises(ValidationError, match="eps_ref"):
+        run_condition_suite(net, 1, 0, eps_ref=eps_ref, pairs=1)
+
+
+@pytest.mark.parametrize("eps_ref", ["nan", "-1"])
+def test_cli_conditions_rejects_bad_eps_ref(tmp_path, capsys, eps_ref):
+    out = tmp_path / "c.csv"
+    assert main(["conditions", "--dims", "3,20,15", "--samples", "1", "--pairs", "1",
+                 "--eps-ref", eps_ref, "--out", str(out)]) == 1
+    assert "eps_ref" in capsys.readouterr().err
+    assert not out.exists()
