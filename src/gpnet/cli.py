@@ -11,11 +11,10 @@ import argparse
 import math
 import sys
 
-from .conditions import (_fmt, pattern_count_exact, r2wdc_deviation,
-                         reports_csv_text, rric_deviation, wdc_deviation,
-                         write_reports_csv)
+from .conditions import (_csv_text, _write_text, pattern_count_exact, r2wdc_deviation,
+                         reports_csv_text, rric_deviation, wdc_deviation)
 from .errors import DivergenceError, InfeasibleError, ValidationError
-from .harness import (_parse_recipe, default_jobs, parse_experiment_config,
+from .harness import (_parse_ints, _parse_recipe, default_jobs, parse_experiment_config,
                       run_condition_suite, run_experiment, summary_path_for,
                       write_experiment_csvs)
 from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
@@ -31,16 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _parse_dims(text):
-    try:
-        dims = tuple(int(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
-    except ValueError:
-        raise ValidationError(f"bad dims {text!r}") from None
-    if len(dims) < 2:
-        raise ValidationError("dims must list at least (k, n_1)")
-    return dims
-
-
 def _add_net_source(p):
     p.add_argument("--net", help="path to a saved network file")
     p.add_argument("--dims", help="comma separated dims, e.g. 8,250,600")
@@ -49,26 +38,28 @@ def _add_net_source(p):
                    help="seed for sampling when --dims/--recipe is used")
 
 
+def _given(args, *names):
+    """{name: value} for the flags among names that the command line set."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _net_from_args(args):
-    given = [name for name in ("net", "dims", "recipe")
-             if getattr(args, name, None) is not None]
-    if len(given) != 1:
+    if len(_given(args, "net", "dims", "recipe")) != 1:
         raise ValidationError("give exactly one of --net, --dims, --recipe")
     if args.net is not None:
-        net = load_net(args.net)
-        recipe = None
-    elif args.dims is not None:
-        net = sample_gaussian_net(_parse_dims(args.dims), args.net_seed)
-        recipe = None
-    else:
-        recipe = _parse_recipe(args.recipe)
-        net = sample_gaussian_net(recipe.dims, args.net_seed)
-    return net, recipe
+        return load_net(args.net), None
+    if args.dims is not None:
+        return sample_gaussian_net(_parse_ints(args.dims, "--dims"), args.net_seed), None
+    recipe = _parse_recipe(args.recipe)
+    return sample_gaussian_net(recipe.dims, args.net_seed), recipe
 
 
-def _write_text(path, text):
-    with open(path, "w", newline="") as f:
-        f.write(text)
+def _write_out(args, text, what):
+    """Write text to --out, when given, and say so."""
+    if args.out:
+        _write_text(args.out, text)
+        print(f"wrote {what} to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -83,38 +74,32 @@ def _cmd_gen_net(args):
 
 
 def _cmd_recipe(args):
-    rec = contractive_example_dims(k=args.k, d=args.d, c_bar=args.c_bar,
-                                   alpha_floor=args.alpha_floor)
+    rec = contractive_example_dims(k=args.k, d=args.d,
+                                   **_given(args, "c_bar", "alpha_floor"))
     print(f"dims={rec.dims} alpha={rec.alpha!r} escalated={rec.alpha_escalated} "
           f"contractive_layers={rec.contractive_layers}")
-    if args.out:
-        lines = ["layer,width,expansivity_margin,width_margin"]
-        for i in range(rec.d):
-            lines.append(",".join(map(_fmt, (i + 1, rec.dims[i + 1],
-                                             float(rec.expansivity_margin[i]),
-                                             float(rec.width_margin[i])))))
-        _write_text(args.out, "\n".join(lines) + "\n")
-        print(f"wrote margins to {args.out}")
+    header = ("layer", "width", "expansivity_margin", "width_margin")
+    rows = zip(range(1, rec.d + 1), rec.dims[1:], rec.expansivity_margin,
+               rec.width_margin)
+    _write_out(args, _csv_text(header, rows), "margins")
     return 0
 
 
 def _cmd_solve(args):
+    if args.trace_stride < 1:
+        raise ValidationError("--trace-stride must be >= 1")
     net, _ = _net_from_args(args)
-    if args.kind not in KINDS:
-        raise ValidationError(f"unknown kind {args.kind!r}")
-    inst = make_instance(args.kind, net, m=args.m, sigma=args.sigma,
-                         eta_norm=args.eta_norm, n_samples=args.n_samples,
-                         seed=args.seed)
-    cfg = SolverConfig(c_step=args.c_step, t_max=args.t_max,
-                       rel_step_tol=args.rel_step_tol, seed=args.seed,
-                       trace_stride=args.trace_stride)
+    inst = make_instance(args.kind, net, seed=args.seed,
+                         **_given(args, "m", "sigma", "eta_norm", "n_samples"))
+    cfg = SolverConfig(seed=args.seed,
+                       **_given(args, "c_step", "t_max", "rel_step_tol"))
     tr = solve(inst, cfg)
     print(f"kind={args.kind} steps={tr.n_steps} stop={tr.stop_reason} "
           f"negations={len(tr.negations)} "
           f"rel_signal_err={tr.final_rel_signal_err!r} "
           f"rel_latent_err={tr.final_rel_latent_err!r}")
     if args.out:
-        tr.to_csv(args.out)
+        tr.to_csv(args.out, args.trace_stride)
         print(f"wrote trace to {args.out}")
     return 0
 
@@ -133,9 +118,7 @@ def _cmd_check_wdc(args):
                for i in _layer_list(args, net)]
     worst = max(r.max_eps for r in reports)
     print(f"wdc max deviation {worst!r} over {args.samples} pairs per layer")
-    if args.out:
-        write_reports_csv(reports, args.out)
-        print(f"wrote report to {args.out}")
+    _write_out(args, reports_csv_text(reports), "report")
     return 0
 
 
@@ -147,9 +130,7 @@ def _cmd_check_r2wdc(args):
     skipped = sum(r.skipped for r in reports)
     print(f"r2wdc max deviation {worst!r} over {args.samples} tuples per layer "
           f"(skipped {skipped})")
-    if args.out:
-        write_reports_csv(reports, args.out)
-        print(f"wrote report to {args.out}")
+    _write_out(args, reports_csv_text(reports), "report")
     return 0
 
 
@@ -162,9 +143,7 @@ def _cmd_check_rric(args):
     rep = rric_deviation(a, net, args.samples, args.seed)
     print(f"rric max deviation {rep.max_eps!r} over {args.samples} pairs "
           f"(skipped {rep.skipped})")
-    if args.out:
-        write_reports_csv([rep], args.out)
-        print(f"wrote report to {args.out}")
+    _write_out(args, reports_csv_text([rep]), "report")
     return 0
 
 
@@ -179,23 +158,18 @@ def _cmd_check_patterns(args):
     pc = pattern_count_exact(w, basis)
     print(f"patterns={pc.count} comb_bound={pc.comb_bound} "
           f"log_bound={pc.log_bound!r}")
-    if args.out:
-        write_reports_csv([pc.to_report()], args.out)
-        print(f"wrote report to {args.out}")
+    _write_out(args, reports_csv_text([pc.to_report()]), "report")
     return 0
 
 
 def _cmd_conditions(args):
     net, recipe = _net_from_args(args)
-    reports = run_condition_suite(net, args.samples, args.seed,
-                                  eps_ref=args.eps_ref, pairs=args.pairs,
-                                  recipe=recipe)
+    reports = run_condition_suite(net, args.samples, args.seed, recipe=recipe,
+                                  **_given(args, "eps_ref", "pairs"))
     text = reports_csv_text(reports)
     n_rows = text.count("\n") - 1
     print(f"collected {n_rows} condition rows on dims={net.dims}")
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote report to {args.out}")
+    _write_out(args, text, "report")
     return 0
 
 
@@ -229,8 +203,8 @@ def build_parser():
     p = sub.add_parser("recipe", help="contractive width recipe and margins")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--c-bar", type=float, default=2.0)
-    p.add_argument("--alpha-floor", type=float, default=1.0)
+    p.add_argument("--c-bar", type=float)
+    p.add_argument("--alpha-floor", type=float)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_recipe)
 
@@ -238,13 +212,14 @@ def build_parser():
     _add_net_source(p)
     p.add_argument("--kind", required=True, help="|".join(KINDS))
     p.add_argument("--m", type=int)
-    p.add_argument("--sigma", type=float, default=0.0)
+    p.add_argument("--sigma", type=float)
     p.add_argument("--eta-norm", type=float)
     p.add_argument("--n-samples", type=int)
-    p.add_argument("--c-step", type=float, default=0.2)
-    p.add_argument("--t-max", type=int, default=1000)
-    p.add_argument("--rel-step-tol", type=float, default=1e-12)
-    p.add_argument("--trace-stride", type=int, default=0)
+    p.add_argument("--c-step", type=float)
+    p.add_argument("--t-max", type=int)
+    p.add_argument("--rel-step-tol", type=float)
+    p.add_argument("--trace-stride", type=int, default=1,
+                   help="write every stride-th trace row, plus the last")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the iterate trace CSV here")
     p.set_defaults(func=_cmd_solve)
@@ -280,8 +255,8 @@ def build_parser():
     p = sub.add_parser("conditions", help="full condition suite on one net")
     _add_net_source(p)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--pairs", type=int, default=25)
-    p.add_argument("--eps-ref", type=float, default=0.2)
+    p.add_argument("--pairs", type=int)
+    p.add_argument("--eps-ref", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_conditions)

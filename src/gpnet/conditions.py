@@ -17,7 +17,6 @@ Convention: layer 0 tags whole-network statistics.
 """
 
 from dataclasses import dataclass, field
-import io
 import math
 
 import numpy as np
@@ -92,20 +91,31 @@ def _fmt(x):
     return str(x)
 
 
+def _csv_text(header, rows):
+    """CSV text: the header names, then one line per row with its cells
+    through _fmt, so a rerun is byte-identical."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path, text):
+    with open(path, "w", newline="") as f:
+        f.write(text)
+
+
+REPORT_COLUMNS = ("condition", "layer", "statistic", "value", "target", "samples",
+                  "skipped", "seed")
+
+
 def reports_csv_text(reports):
     """Render reports as CSV text; float cells use repr so a rerun is
     byte-identical."""
-    buf = io.StringIO()
-    buf.write("condition,layer,statistic,value,target,samples,skipped,seed\n")
-    for rep in reports:
-        for row in rep.rows():
-            buf.write(",".join(_fmt(c) for c in row) + "\n")
-    return buf.getvalue()
+    return _csv_text(REPORT_COLUMNS, (row for rep in reports for row in rep.rows()))
 
 
 def write_reports_csv(reports, path):
-    with open(path, "w", newline="") as f:
-        f.write(reports_csv_text(reports))
+    _write_text(path, reports_csv_text(reports))
 
 
 # ---------------------------------------------------------------------------

@@ -39,14 +39,14 @@ to the planted latent and signal norms.
 from dataclasses import dataclass, replace
 import concurrent.futures
 import configparser
-import io
 import math
+from operator import itemgetter
 import os
 
 import numpy as np
 
-from .conditions import (ConditionReport, _fmt, lambda_concentration, lipschitz_check,
-                         convexity_direction_check, log_piece_count_bounds,
+from .conditions import (ConditionReport, _csv_text, _write_text, lambda_concentration,
+                         lipschitz_check, convexity_direction_check, log_piece_count_bounds,
                          norm_angle_report, r2wdc_deviation, wdc_deviation)
 from .errors import DivergenceError, ValidationError
 from .net import contractive_example_dims, sample_gaussian_net
@@ -171,20 +171,12 @@ def run_experiment(spec, jobs=1):
     return rows, summary
 
 
-def _table_text(columns, rows):
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for r in rows:
-        buf.write(",".join(_fmt(r[c]) for c in columns) + "\n")
-    return buf.getvalue()
-
-
 def experiment_csv_text(rows):
-    return _table_text(EXPERIMENT_COLUMNS, rows)
+    return _csv_text(EXPERIMENT_COLUMNS, map(itemgetter(*EXPERIMENT_COLUMNS), rows))
 
 
 def summary_csv_text(summary):
-    return _table_text(SUMMARY_COLUMNS, summary)
+    return _csv_text(SUMMARY_COLUMNS, map(itemgetter(*SUMMARY_COLUMNS), summary))
 
 
 def summary_path_for(path):
@@ -196,10 +188,8 @@ def summary_path_for(path):
 
 
 def write_experiment_csvs(rows, summary, path):
-    with open(path, "w", newline="") as f:
-        f.write(experiment_csv_text(rows))
-    with open(summary_path_for(path), "w", newline="") as f:
-        f.write(summary_csv_text(summary))
+    _write_text(path, experiment_csv_text(rows))
+    _write_text(summary_path_for(path), summary_csv_text(summary))
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +210,12 @@ def _number(text, where, kind=float):
     return value
 
 
-def _ini_number(cp, section, key, default, kind=float):
-    """The numeric field [section] key of cp, or default when it is absent."""
-    if section not in cp or key not in cp[section]:
-        return default
-    return _number(cp[section][key], f"[{section}] {key}", kind)
+def _ini_fields(cp, section, **kinds):
+    """{key: value} for each key of kinds that [section] of cp gives, each
+    value read by _number as that key's kind (int or float)."""
+    given = cp[section] if section in cp else {}
+    return {key: _number(given[key], f"[{section}] {key}", kind)
+            for key, kind in kinds.items() if key in given}
 
 
 def _parse_numbers(text, where):
@@ -277,9 +268,7 @@ def _parse_recipe(text):
     for key in ("k", "d"):
         if kv[key] != int(kv[key]):
             raise ValidationError(f"recipe {key} must be an integer, got {kv[key]!r}")
-    return contractive_example_dims(k=int(kv["k"]), d=int(kv["d"]),
-                                    c_bar=kv.get("c_bar", 2.0),
-                                    alpha_floor=kv.get("alpha_floor", 1.0))
+    return contractive_example_dims(**kv)
 
 
 def parse_experiment_config(text):
@@ -306,10 +295,12 @@ def parse_experiment_config(text):
     else:
         raise ValidationError("[net] needs dims or recipe")
 
-    solver = SolverConfig(
-        c_step=_ini_number(cp, "solver", "c_step", 0.2),
-        t_max=_ini_number(cp, "solver", "t_max", 1000, int),
-        rel_step_tol=_ini_number(cp, "solver", "rel_step_tol", 1e-12))
+    solver = SolverConfig(**_ini_fields(cp, "solver", c_step=float, t_max=int,
+                                        rel_step_tol=float))
+    given = _ini_fields(cp, "instance", m=int, sigma=float, eta_norm=float,
+                        n_samples=int)
+    if "seed" in netsec:
+        given["net_seed"] = _number(netsec["seed"], "[net] seed", int)
 
     out = None
     if "output" in cp and "path" in cp["output"]:
@@ -325,11 +316,7 @@ def parse_experiment_config(text):
         sweep_values=parse_values(exp["values"], "[experiment] values"),
         seeds=_parse_seeds(exp["seeds"]),
         dims=dims,
-        net_seed=_ini_number(cp, "net", "seed", 0, int),
-        m=_ini_number(cp, "instance", "m", None, int),
-        sigma=_ini_number(cp, "instance", "sigma", 0.0),
-        eta_norm=_ini_number(cp, "instance", "eta_norm", None),
-        n_samples=_ini_number(cp, "instance", "n_samples", None, int),
+        **given,
         solver=solver,
         out=out)
 

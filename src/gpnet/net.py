@@ -166,6 +166,8 @@ def sample_gaussian_net(dims, seed):
     dims = tuple(int(n) for n in dims)
     if len(dims) < 2 or any(n < 1 for n in dims):
         raise ValidationError(f"dims must list at least (k, n_1) positive sizes, got {dims}")
+    if any(a * b > np.iinfo(np.intp).max // 8 for a, b in zip(dims, dims[1:])):
+        raise ValidationError("dims give a weight matrix larger than the address space")
     weights = []
     for i in range(len(dims) - 1):
         rng = sub_rng(seed, DOMAIN_NET, i)
@@ -232,8 +234,8 @@ class DimsRecipe:
     than its predecessor while the logarithmic growth conditions still
     hold.  expansivity_margin[i-1] is n_i minus the required
     c_bar * k * log prod_{j<i}(e n_j / k) (just c_bar * k for i = 1);
-    width_margin[i-1] is n_i/log n_i minus 16 k / (c_bar log 2).  Both
-    tuples are nonnegative by construction.
+    width_margin[i-1] is n_i/log n_i minus 16 k / (c_bar log 2) (-inf for
+    n_i = 1).  Both tuples are nonnegative by construction.
     """
 
     k: int
@@ -249,7 +251,10 @@ class DimsRecipe:
 
 
 def _recipe_dims(k, d, c_bar, alpha):
-    return tuple(int(math.ceil(c_bar * k * d * (2 * d - i) * alpha)) for i in range(1, d + 1))
+    widths = [c_bar * k * d * (2 * d - i) * alpha for i in range(1, d + 1)]
+    if not all(map(math.isfinite, widths)):
+        raise InfeasibleError(f"recipe widths overflow for k={k}, d={d}, c_bar={c_bar}")
+    return tuple(max(1, math.ceil(w)) for w in widths)  # w may underflow to 0
 
 
 def _recipe_margins(k, d, c_bar, hidden):
@@ -260,7 +265,8 @@ def _recipe_margins(k, d, c_bar, hidden):
         exp_margin.append(n - need)
         log_prod += 1.0 + math.log(n / k)
     width_need = 16.0 * k / (c_bar * math.log(2.0))
-    width_margin = [n / math.log(n) - width_need for n in hidden]
+    width_margin = [n / math.log(n) - width_need if n > 1 else -math.inf
+                    for n in hidden]
     return tuple(exp_margin), tuple(width_margin)
 
 
@@ -272,7 +278,9 @@ def contractive_example_dims(k, d, c_bar=2.0, alpha_floor=1.0):
     and the k log k regime make that possible for small k), alpha is
     escalated to the smallest feasible value by doubling plus bisection,
     so the returned dims always pass both checks.  Raises
-    InfeasibleError only if no alpha up to 2^60 times the floor works.
+    ValidationError for a non-finite c_bar or alpha_floor, and
+    InfeasibleError if no alpha up to 2^60 times the floor works or a
+    width overflows.
     """
     k = int(k)
     d = int(d)
@@ -280,8 +288,8 @@ def contractive_example_dims(k, d, c_bar=2.0, alpha_floor=1.0):
         raise ValidationError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
     c_bar = float(c_bar)
     alpha_floor = float(alpha_floor)
-    if not (c_bar > 0.0) or not (alpha_floor > 0.0):
-        raise ValidationError("c_bar and alpha_floor must be positive")
+    if not (0.0 < c_bar < math.inf and 0.0 < alpha_floor < math.inf):
+        raise ValidationError("c_bar and alpha_floor must be positive and finite")
 
     base = max(alpha_floor,
                2.0 * math.log(c_bar * k) / d ** 2,

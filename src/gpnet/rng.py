@@ -18,6 +18,8 @@ Domain codes (fixed, part of the on-disk reproducibility contract):
 
 import numpy as np
 
+from .errors import ValidationError
+
 DOMAIN_NET = 0
 DOMAIN_INSTANCE = 1
 DOMAIN_SAMPLE = 2
@@ -28,9 +30,13 @@ def sub_rng(seed, domain, index=0):
     """Return the Generator for stream (seed, domain, index).
 
     Pure function of its arguments: calling it twice gives two generators
-    that produce identical draws.
+    that produce identical draws.  Raises ValidationError for a negative
+    seed, which SeedSequence cannot take.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(domain), int(index)))
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seeds must be nonnegative, got {seed}")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(domain), int(index)))
     return np.random.default_rng(ss)
 
 

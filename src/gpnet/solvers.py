@@ -45,14 +45,13 @@ the residual itself and are exactly 0 there.
 
 from dataclasses import dataclass
 from functools import cached_property
-import io
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .conditions import _fmt
+from .conditions import _csv_text, _write_text
 from .net import (GenerativeNet, _fields_eq, _gamma, _read_exact, apply_masked_t,
                   forward, load_net, save_net)
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
@@ -369,19 +368,16 @@ class SolverConfig:
     """Step schedule and start for the negation-descent loop.
 
     alpha = c_step 2^d / d^2; t_max = 0 is allowed and records only the
-    starting point.  x0_mode 'gaussian_unit' draws a uniform unit latent
-    from the solver sub-stream of seed; 'provided' uses x0.
-    trace_stride > 0 stores every stride-th iterate in the trace.
-    Equality compares x0 by value.
+    starting point.  The start is x0 when given, otherwise a uniform unit
+    latent from the solver sub-stream of seed.  Equality compares x0 by
+    value.
     """
 
     c_step: float = 0.2
     t_max: int = 1000
     rel_step_tol: float = 1e-12
-    x0_mode: str = "gaussian_unit"
     x0: np.ndarray | None = None
     seed: int = 0
-    trace_stride: int = 0
 
     def __post_init__(self):
         if not self.c_step > 0.0:
@@ -390,12 +386,6 @@ class SolverConfig:
             raise ValidationError("t_max must be >= 0")
         if not self.rel_step_tol >= 0.0:
             raise ValidationError("rel_step_tol must be nonnegative")
-        if self.x0_mode not in ("gaussian_unit", "provided"):
-            raise ValidationError(f"unknown x0_mode {self.x0_mode!r}")
-        if self.x0_mode == "provided" and self.x0 is None:
-            raise ValidationError("x0_mode 'provided' needs x0")
-        if int(self.trace_stride) < 0:
-            raise ValidationError("trace_stride must be >= 0")
 
     __eq__ = _fields_eq
 
@@ -428,24 +418,23 @@ class SolveTrace:
     final_signal_err: float
     final_rel_latent_err: float
     final_rel_signal_err: float
-    stored_iterates: tuple = ()
 
-    def csv_text(self):
-        buf = io.StringIO()
-        buf.write("iter,f,latent_err,signal_err,negated\n")
-        for t, fv, le, se, ng in zip(self.iters, self.f, self.latent_err,
-                                     self.signal_err, self.negated):
-            row = (int(t), float(fv), float(le), float(se), int(ng))
-            buf.write(",".join(map(_fmt, row)) + "\n")
-        return buf.getvalue()
+    def csv_text(self, stride=1):
+        """The trace as CSV: the rows with iter % stride == 0, then the
+        final row if that left it out."""
+        if int(stride) < 1:
+            raise ValidationError(f"trace stride must be >= 1, got {stride}")
+        cols = (self.iters, self.f, self.latent_err, self.signal_err, self.negated)
+        rows = list(zip(*(c.tolist() for c in cols)))
+        kept = [r for r in rows[:-1] if r[0] % stride == 0] + rows[-1:]
+        return _csv_text(("iter", "f", "latent_err", "signal_err", "negated"), kept)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            f.write(self.csv_text())
+    def to_csv(self, path, stride=1):
+        _write_text(path, self.csv_text(stride))
 
 
 def _start_point(inst, cfg):
-    if cfg.x0_mode == "provided":
+    if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=np.float64)
         if x0.shape != (inst.net.k,) or not np.linalg.norm(x0) > 0.0:
             raise ValidationError("x0 must be a nonzero latent vector")
@@ -539,7 +528,6 @@ def solve(inst, cfg):
 
     rows = []
     negations = []
-    stored = []
     stop_reason = "t_max"
     steps = 0
     sign_checks = 0
@@ -569,8 +557,6 @@ def solve(inst, cfg):
                     negations.append(t)
                 known = bound.known(x_neg, ev_neg)
             record(t, x, ev, neg)
-            if cfg.trace_stride > 0 and t % cfg.trace_stride == 0:
-                stored.append((t, x.copy()))
             x_new = x - alpha * _subgradient_at(inst, *ev[1:])
             if not np.isfinite(x_new).all():
                 raise DivergenceError(t)
@@ -597,8 +583,7 @@ def solve(inst, cfg):
         final_f=ev[0], final_latent_err=float(arr[-1, 2]),
         final_signal_err=float(arr[-1, 3]),
         final_rel_latent_err=float(arr[-1, 2]) / ns if ns > 0 else float("nan"),
-        final_rel_signal_err=float(arr[-1, 3]) / ny if ny > 0 else float("nan"),
-        stored_iterates=tuple(stored))
+        final_rel_signal_err=float(arr[-1, 3]) / ny if ny > 0 else float("nan"))
 
 # ---------------------------------------------------------------------------
 # instance persistence

@@ -1,9 +1,11 @@
 import concurrent.futures
+from contextlib import redirect_stderr, redirect_stdout
 import csv
 import io
 import math
 import os
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -67,6 +69,16 @@ def test_config_full_roundtrip():
     assert spec.solver.c_step == 0.2
     assert spec.solver.t_max == 300
     assert spec.out == "smoke.csv"
+
+
+def test_config_defaults_come_from_the_spec():
+    text = CONFIG.replace("[instance]\neta_norm = 0.1\n", "")
+    text = text.replace("[solver]\nc_step = 0.2\nt_max = 300\n", "")
+    text = text.replace("seed = 11\n", "")
+    spec = parse_experiment_config(text)
+    assert spec.solver == SolverConfig()
+    assert spec.sigma == 0.0 and spec.m is None and spec.eta_norm is None
+    assert spec.net_seed == 0
 
 
 def test_config_seed_list_matches_range():
@@ -381,16 +393,120 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--kind", "CS", "--m", "10"]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
+    # validation: a fractional width, and one no weight matrix can hold
+    assert main(["gen-net", "--dims", "8,250.5,600", "--out", str(net)]) == 1
+    assert "--dims" in capsys.readouterr().err
+    assert main(["gen-net", "--dims", "8,1e300", "--out", str(net)]) == 1
+    assert "address space" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_sizes_and_stride(tmp_path, capsys):
     for rows, cols in (("0", "5"), ("-2", "5"), ("5", "0")):
         assert main(["check-patterns", "--rows", rows, "--cols", cols]) == 1
     out = tmp_path / "trace.csv"
-    assert main(["solve", "--dims", "4,20,10", "--kind", "DEN", "--t-max", "3",
-                 "--trace-stride", "-5", "--out", str(out)]) == 1
+    for stride in ("0", "-5"):
+        assert main(["solve", "--dims", "4,20,10", "--kind", "DEN", "--t-max", "3",
+                     "--trace-stride", stride, "--out", str(out)]) == 1
     assert not out.exists()
-    assert capsys.readouterr().err.count("error:") == 4
+    assert capsys.readouterr().err.count("error:") == 5
+
+
+def test_cli_trace_stride_thins_csv(tmp_path):
+    args = ["solve", "--dims", "4,20,10", "--kind", "DEN", "--t-max", "95",
+            "--rel-step-tol", "0", "--seed", "1", "--out"]
+    texts = {}
+    for stride in (None, "1", "20"):
+        out = tmp_path / f"trace-{stride}.csv"
+        flags = [] if stride is None else ["--trace-stride", stride]
+        assert main(args + [str(out)] + flags) == 0
+        texts[stride] = out.read_bytes()
+    assert texts["1"] == texts[None]
+    head, *rows = texts[None].decode().splitlines()
+    assert len(rows) == 96
+    kept = [r for r in rows[:-1] if int(r.split(",")[0]) % 20 == 0] + rows[-1:]
+    assert texts["20"].decode().splitlines() == [head] + kept
+    assert [r.split(",")[0] for r in kept] == ["0", "20", "40", "60", "80", "95"]
+
+
+NEGATIVE_SEED_CONFIG = CONFIG.replace("t_max = 300", "t_max = 5").replace(
+    "values = 100, 200", "values = 100")
+
+
+@pytest.mark.parametrize("args,config", [
+    (["solve", "--dims", "4,20,10", "--kind", "DEN", "--seed", "-1"], None),
+    (["solve", "--dims", "4,20,10", "--kind", "DEN", "--net-seed", "-1"], None),
+    ([], NEGATIVE_SEED_CONFIG.replace("seeds = 0:3", "seeds = -2:1")),
+    ([], NEGATIVE_SEED_CONFIG.replace("seed = 11", "seed = -5")),
+])
+def test_cli_rejects_negative_seeds(tmp_path, capsys, args, config):
+    out = tmp_path / "o.csv"
+    if config is not None:
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(config)
+        args = ["experiment", "--config", str(cfg), "--jobs", "1"]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,code", [
+    (["--c-bar", "0.01"], 0),
+    (["--c-bar", "1e-30"], 2),
+    (["--c-bar", "inf"], 1),
+    (["--c-bar", "1e308"], 2),
+    (["--alpha-floor", "inf"], 1),
+])
+def test_cli_recipe_extreme_scales(tmp_path, capsys, args, code):
+    out = tmp_path / "recipe.csv"
+    assert main(["recipe", "--k", "4", "--d", "3", "--out", str(out)] + args) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error:") and not out.exists()
+    else:
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 3
+        for r in rows:
+            assert float(r["expansivity_margin"]) >= 0.0
+            assert float(r["width_margin"]) >= 0.0
+
+
+def test_cli_recipe_flag_with_tiny_scale_exits_before_sampling(capsys):
+    assert main(["conditions", "--recipe", "k=4 d=3 c_bar=1e-30"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-30, 0.01, 2.0, 1e30, 1e300,
+                     1.7e308, math.inf, -math.inf, math.nan, -1.0]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _cli_outcome(argv):
+    # an uncaught exception would propagate out of main and fail the test
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert (code == 0) or err.startswith("error:")
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 6), d=st.integers(2, 5), c_bar=_EDGE_FLOATS,
+       alpha_floor=_EDGE_FLOATS)
+def test_cli_recipe_fuzz_ends_in_an_exit_code(k, d, c_bar, alpha_floor):
+    # `recipe` only computes widths; it never samples a net from them
+    _cli_outcome(["recipe", "--k", str(k), "--d", str(d), "--c-bar", repr(c_bar),
+                  "--alpha-floor", repr(alpha_floor)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(), net_seed=st.integers())
+def test_cli_solve_seed_fuzz_ends_in_an_exit_code(seed, net_seed):
+    _cli_outcome(["solve", "--dims", "3,8,6", "--kind", "DEN", "--t-max", "2",
+                  "--seed", str(seed), "--net-seed", str(net_seed)])
 
 
 @pytest.mark.parametrize("old,new,where", [

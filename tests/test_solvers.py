@@ -278,22 +278,13 @@ def test_config_validation():
         SolverConfig(c_step=0.0)
     with pytest.raises(ValidationError):
         SolverConfig(t_max=-1)
-    with pytest.raises(ValidationError):
-        SolverConfig(x0_mode="nope")
-    with pytest.raises(ValidationError):
-        SolverConfig(x0_mode="provided")
-
-
-def test_config_rejects_negative_trace_stride():
-    with pytest.raises(ValidationError):
-        SolverConfig(trace_stride=-5)
 
 
 def test_config_equality_with_array_start():
-    cfg = SolverConfig(x0_mode="provided", x0=np.ones(5))
-    assert cfg == SolverConfig(x0_mode="provided", x0=np.ones(5))
-    assert cfg != SolverConfig(x0_mode="provided", x0=np.zeros(5))
-    assert cfg != SolverConfig(x0_mode="provided", x0=np.ones(5), seed=1)
+    cfg = SolverConfig(x0=np.ones(5))
+    assert cfg == SolverConfig(x0=np.ones(5))
+    assert cfg != SolverConfig(x0=np.zeros(5))
+    assert cfg != SolverConfig(x0=np.ones(5), seed=1)
     assert cfg != SolverConfig()
     assert SolverConfig(t_max=7) == SolverConfig(t_max=7)
 
@@ -335,31 +326,20 @@ def test_provided_start_validation():
     net = small_net()
     inst = make_instance("DEN", net, seed=0)
     with pytest.raises(ValidationError):
-        solve(inst, SolverConfig(x0_mode="provided", x0=np.zeros(5)))
+        solve(inst, SolverConfig(x0=np.zeros(5)))
     with pytest.raises(ValidationError):
-        solve(inst, SolverConfig(x0_mode="provided", x0=np.ones(7)))
+        solve(inst, SolverConfig(x0=np.ones(7)))
 
 
 def test_negation_fires_from_reflected_start():
     net = sample_gaussian_net((8, 250, 600), seed=0)
     inst = make_instance("CS", net, m=150, seed=3)
-    cfg = SolverConfig(c_step=0.2, t_max=50, x0_mode="provided", x0=-inst.x_star)
+    cfg = SolverConfig(c_step=0.2, t_max=50, x0=-inst.x_star)
     tr = solve(inst, cfg)
     assert tr.negations == (0,)
     assert tr.latent_err[0] == 0.0  # flip lands exactly on x_star
     assert tr.stop_reason == "step_tol"
     assert tr.final_rel_latent_err <= 1e-10
-
-
-def test_trace_iterates_prefer_current_sign():
-    # whenever the trace stores an iterate, its loss is no worse than the
-    # reflected one
-    net = small_net(seed=6)
-    inst = make_instance("CS", net, m=40, seed=7)
-    tr = solve(inst, SolverConfig(c_step=0.2, t_max=40, seed=7, trace_stride=1))
-    assert len(tr.stored_iterates) == min(40, tr.n_steps)
-    for _, x in tr.stored_iterates:
-        assert loss(inst, x) <= loss(inst, -x)
 
 
 def test_tmax_one_records_two_rows():
@@ -378,12 +358,10 @@ def test_scale_covariance_cs_and_den():
     for kind, kwargs in (("CS", {"m": 40}), ("DEN", {})):
         inst = make_instance(kind, net, seed=3, **kwargs)
         x0 = np.array([0.3, -0.7, 1.1, 0.2, -0.5])
-        cfg = SolverConfig(c_step=0.2, t_max=60, x0_mode="provided", x0=x0,
-                           rel_step_tol=0.0)
+        cfg = SolverConfig(c_step=0.2, t_max=60, x0=x0, rel_step_tol=0.0)
         tr1 = solve(inst, cfg)
         scaled = replace(inst, b=c * inst.b)
-        cfg2 = SolverConfig(c_step=0.2, t_max=60, x0_mode="provided", x0=c * x0,
-                            rel_step_tol=0.0)
+        cfg2 = SolverConfig(c_step=0.2, t_max=60, x0=c * x0, rel_step_tol=0.0)
         tr2 = solve(scaled, cfg2)
         g1 = forward(net, tr1.final_x)[-1]
         g2 = forward(net, tr2.final_x)[-1]
@@ -425,12 +403,11 @@ def test_divergence_error_pickles():
 def _reference_solve(inst, cfg):
     """The negation loop spelled out with six sweeps per iteration: loss at
     x and -x, a forward pass for the trace row, and subgradient (its own
-    forward and transposed passes).  Returns (csv text, x_T, stored)."""
+    forward and transposed passes).  Returns (csv text, x_T)."""
     d = inst.net.depth
     alpha = cfg.c_step * 2.0 ** d / d ** 2
     x = np.asarray(cfg.x0, dtype=np.float64).copy()
     lines = ["iter,f,latent_err,signal_err,negated\n"]
-    stored = []
 
     def row(t, f, neg):
         le = float(np.linalg.norm(x - inst.x_star))
@@ -444,8 +421,6 @@ def _reference_solve(inst, cfg):
         if neg:
             x = -x
         row(t, f_neg if neg else f_pos, neg)
-        if cfg.trace_stride > 0 and t % cfg.trace_stride == 0:
-            stored.append((t, x.copy()))
         x_new = x - alpha * subgradient(inst, x)
         small = np.linalg.norm(x_new - x) <= cfg.rel_step_tol * np.linalg.norm(x)
         x = x_new
@@ -453,7 +428,7 @@ def _reference_solve(inst, cfg):
         if small:
             break
     row(steps, loss(inst, x), 0)
-    return "".join(lines), x, stored
+    return "".join(lines), x
 
 
 _EVERY_KIND = [
@@ -476,17 +451,13 @@ def test_solve_matches_six_sweep_reference(kind, kwargs, c_step, start):
         x0 = np.random.default_rng(8).standard_normal(net.k)
     else:  # near -x_star, so the sign flip fires at once
         x0 = -1.2 * inst.x_star + 0.05 * np.random.default_rng(9).standard_normal(net.k)
-    cfg = SolverConfig(c_step=c_step, t_max=80, x0_mode="provided", x0=x0,
-                       trace_stride=3)
+    cfg = SolverConfig(c_step=c_step, t_max=80, x0=x0)
     tr = solve(inst, cfg)
-    text, x_fin, stored = _reference_solve(inst, cfg)
+    text, x_fin = _reference_solve(inst, cfg)
     if start == "reflected":
         assert tr.negations[:1] == (0,)
     assert tr.csv_text() == text
     assert tr.final_x.tobytes() == x_fin.tobytes()
-    assert len(tr.stored_iterates) == len(stored)
-    for (t1, x1), (t2, x2) in zip(tr.stored_iterates, stored):
-        assert t1 == t2 and x1.tobytes() == x2.tobytes()
 
 
 @pytest.mark.parametrize("kind,kwargs,c_step", _EVERY_KIND)
@@ -713,9 +684,9 @@ def test_solve_matches_six_sweep_reference_on_recover_net(kind, m):
     net = sample_gaussian_net((8, 250, 600), seed=0)
     inst = make_instance(kind, net, m=m, seed=1)
     x0 = solvers._start_point(inst, SolverConfig(seed=1))
-    cfg = SolverConfig(c_step=0.2, t_max=300, x0_mode="provided", x0=x0)
+    cfg = SolverConfig(c_step=0.2, t_max=300, x0=x0)
     tr = solve(inst, cfg)
-    text, x_fin, _ = _reference_solve(inst, cfg)
+    text, x_fin = _reference_solve(inst, cfg)
     assert tr.csv_text() == text
     assert tr.final_x.tobytes() == x_fin.tobytes()
     assert tr.negations == (0,)
@@ -733,9 +704,9 @@ def test_spiked_solve_matches_six_sweep_reference(kind, kwargs):
     net = sample_gaussian_net((6, 200, 400), seed=1)
     inst = make_instance(kind, net, seed=1001, **kwargs)
     x0 = solvers._start_point(inst, SolverConfig(seed=1001))
-    cfg = SolverConfig(c_step=1.0, t_max=300, x0_mode="provided", x0=x0)
+    cfg = SolverConfig(c_step=1.0, t_max=300, x0=x0)
     tr = solve(inst, cfg)
-    text, x_fin, _ = _reference_solve(inst, cfg)
+    text, x_fin = _reference_solve(inst, cfg)
     assert tr.csv_text() == text
     assert tr.final_x.tobytes() == x_fin.tobytes()
     assert tr.sign_checks < tr.n_steps
@@ -784,6 +755,11 @@ def test_trace_csv_roundtrip(tmp_path):
     assert len(rows) == len(tr.iters) + 1
     back = [float(r[1]) for r in rows[1:]]
     assert np.array_equal(np.asarray(back), tr.f)
+    # the final row (iter 5) is a stride multiple and is written once
+    lines = text.splitlines(keepends=True)
+    assert tr.csv_text(5) == "".join(lines[:2] + lines[-1:])
+    with pytest.raises(ValidationError):
+        tr.csv_text(0)
     p = tmp_path / "trace.csv"
     tr.to_csv(p)
     assert p.read_text() == text
