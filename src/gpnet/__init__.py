@@ -7,7 +7,7 @@ from .conditions import (CONDITION_KINDS, ConditionReport, LipschitzResult,
                          masked_gram_deviation, noise_coupling,
                          norm_angle_report, omega, pattern_count_exact,
                          r2wdc_deviation, r2wdc_tuple_value, reports_csv_text,
-                         rric_deviation, wdc_deviation, write_reports_csv)
+                         rric_deviation, wdc_deviation)
 from .errors import DivergenceError, InfeasibleError, ValidationError
 from .geometry import (AngleProfile, DistortionMatrix, angle_between, angle_profile,
                        g_theta, q_lipschitz_gap, q_matrix, spectral_norm)

@@ -114,10 +114,6 @@ def reports_csv_text(reports):
     return _csv_text(REPORT_COLUMNS, (row for rep in reports for row in rep.rows()))
 
 
-def write_reports_csv(reports, path):
-    _write_text(path, reports_csv_text(reports))
-
-
 # ---------------------------------------------------------------------------
 # masked-Gram deviations
 # ---------------------------------------------------------------------------
@@ -343,7 +339,6 @@ def noise_coupling(net, a, eta, samples, seed):
 # ---------------------------------------------------------------------------
 
 _PATTERN_MAX_ROWS = 20
-_PATTERN_JITTER = 256
 
 
 @dataclass(frozen=True)
@@ -372,126 +367,87 @@ class PatternCount:
             targets={"log_count": self.log_bound})
 
 
-def _dedupe_sorted_angles(angles, tol=1e-12):
-    if not angles:
-        return []
-    angles = sorted(angles)
-    out = [angles[0]]
-    for a in angles[1:]:
-        if a - out[-1] > tol:
-            out.append(a)
-    # wraparound: first and last may describe the same boundary direction
-    if len(out) > 1 and (out[0] + 2.0 * math.pi) - out[-1] <= tol:
-        out.pop()
-    return out
-
-
 def _patterns_at(p, witnesses):
     """Activation patterns of the projected rows p at the witness points.
 
-    witnesses holds one point of R^ell per row; all are classified with
-    one product.  A witness on the plane of a nonzero row is unusable and
-    left out; a zero row is off at every witness.
+    All witnesses are classified with one product.  A witness on the
+    plane of a nonzero row is unusable and left out; a zero row is off at
+    every witness.  Each usable on/off row is packed into one integer
+    (m <= _PATTERN_MAX_ROWS bits), so the dedupe sorts integers, not rows.
     """
     vals = np.asarray(witnesses, dtype=np.float64) @ p.T
     zero_rows = ~np.any(p != 0.0, axis=1)
     usable = ~np.any((vals == 0.0) & ~zero_rows, axis=1)
-    pats = np.unique(vals[usable] > 0.0, axis=0).astype(int)
-    return set(map(tuple, pats.tolist()))
+    bits = np.arange(p.shape[0])
+    codes = np.unique((vals[usable] > 0.0) @ (1 << bits))
+    return set(map(tuple, ((codes[:, None] >> bits) & 1).tolist()))
 
 
-def _witnesses_ell1(p):
-    return np.array([[1.0], [-1.0]])
+def _witnesses(p):
+    """Points of R^ell inside every chamber of the hyperplanes of p's rows.
 
+    The nonzero rows of p are unit normals, or a level down their
+    projections into one of the hyperplanes.  At ell = 1 the points are
+    +-1.  Above, each nonzero row's hyperplane is walked in an
+    orthonormal frame of it: the rows apart from it are projected into
+    it, the recursion finds a point inside each chamber they carve out of
+    the hyperplane, and each point steps off it to both sides by less
+    than its distance to the nearest plane apart from it.  Every chamber
+    has a facet on some hyperplane, so the steps reach every chamber.
 
-def _witnesses_ell2(p):
-    nz = [j for j in range(p.shape[0]) if np.any(p[j] != 0.0)]
-    if not nz:
-        return np.array([[1.0, 0.0]])
-    bounds = []
-    for j in nz:
-        phi = math.atan2(p[j, 1], p[j, 0])
-        for b in (phi + math.pi / 2.0, phi - math.pi / 2.0):
-            bounds.append(b % (2.0 * math.pi))
-    bounds = _dedupe_sorted_angles(bounds)
-    witnesses = []
-    for t in range(len(bounds)):
-        nxt = bounds[(t + 1) % len(bounds)]
-        if t + 1 == len(bounds):
-            nxt += 2.0 * math.pi
-        mid = 0.5 * (bounds[t] + nxt)
-        witnesses.append([math.cos(mid), math.sin(mid)])
-    return np.array(witnesses)
-
-
-def _plane_frame(q):
-    """2 x 3 orthonormal basis of the plane with unit normal q."""
-    ax = int(np.argmin(np.abs(q)))
-    e = np.zeros(3)
-    e[ax] = 1.0
-    a = e - float(np.dot(q, e)) * q
-    a /= np.linalg.norm(a)
-    return np.array((a, np.cross(q, a)))
-
-
-def _witnesses_ell3(p):
-    nz = p[np.any(p != 0.0, axis=1)]
-    witnesses = []
-    if len(nz):
-        # one representative unit normal per distinct plane, signed so that
-        # its largest entry is positive; the first row of each plane wins
-        u = nz / np.linalg.norm(nz, axis=1)[:, None]
-        lead = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
-        u = np.where((lead > 0)[:, None], u, -u)
-        _, first = np.unique(np.round(u, 12) + 0.0, axis=0, return_index=True)
-        planes = u[np.sort(first)]
-
-        # walk each plane's unit circle: every chamber has a 2-face on some
-        # plane, and the side steps off an arc midpoint land in the two
-        # chambers adjacent to that face, so these witnesses reach them all
-        for q in planes:
-            frame = _plane_frame(q)
-            others = planes[np.abs(planes @ q) < 1.0 - 1e-12]
-            z = _witnesses_ell2(others @ frame.T) @ frame
-            margin = np.abs(z @ others.T).min(axis=1, initial=np.inf)
-            step = np.minimum(1e-3, 0.5 * margin)[:, None]
-            witnesses += [z + step * q, z - step * q]
-
-        # pairwise plane intersections, pushed into the four quadrants
-        i1, i2 = np.triu_indices(len(planes), 1)
-        z0 = np.cross(planes[i1], planes[i2])
-        nz0 = np.linalg.norm(z0, axis=1)
-        keep = nz0 > 1e-12
-        i1, i2, z0 = i1[keep], i2[keep], z0[keep] / nz0[keep, None]
-        margin = np.abs(z0 @ planes.T)
-        rows = np.arange(len(z0))
-        margin[rows, i1] = margin[rows, i2] = np.inf
-        step = np.minimum(1e-3, 0.45 * margin.min(axis=1, initial=np.inf))[:, None]
-        for s1 in (-1.0, 1.0):
-            for s2 in (-1.0, 1.0):
-                witnesses.append(z0 + s1 * step * planes[i1] + s2 * step * planes[i2])
-
-    # fixed-seed jitter as a safety net on top of the deterministic walks
-    rng = sub_rng(1729, DOMAIN_SAMPLE, 0)
-    witnesses.append([unit_vector(rng, 3) for _ in range(_PATTERN_JITTER)])
-    return np.concatenate(witnesses)
+    Rows i and j are apart when |p_i ^ p_j| > 1e-12.  Over unit rows this
+    is the sine of the angle between two planes, so repeated and negated
+    rows share one plane and need no dedupe.  One level down it is the
+    triple product of three planes, which vanishes when they share a
+    line.
+    """
+    ell = p.shape[1]
+    if ell == 1:
+        return np.array([[1.0], [-1.0]])
+    p = p[np.any(p != 0.0, axis=1)]
+    if not len(p):
+        return np.eye(1, ell)
+    norms = np.linalg.norm(p, axis=1)
+    u = p / norms[:, None]
+    # I - 2 v v^T / |v|^2 maps q to -+e_1, so its other rows are an
+    # orthonormal basis of q's hyperplane
+    v = u.copy()
+    v[:, 0] += np.copysign(1.0, u[:, 0])
+    frames = np.eye(ell)[1:] - (2.0 / np.sum(v * v, axis=1))[:, None, None] \
+        * v[:, 1:, None] * v[:, None, :]
+    # sub[i, j] is row j in the frame of row i's hyperplane, and
+    # |p_i ^ p_j| = |p_i| |sub[i, j]|
+    sub = np.einsum("iab,jb->ija", frames, p)
+    apart = norms[:, None] * np.linalg.norm(sub, axis=2) > 1e-12
+    zs = [_witnesses(rows[keep]) @ frame
+          for frame, rows, keep in zip(frames, sub, apart)]
+    # z[t] lies on the hyperplane of row owner[t]
+    owner = np.repeat(np.arange(len(u)), [len(z) for z in zs])
+    z = np.concatenate(zs)
+    margin = np.where(apart[owner], np.abs(z @ u.T), np.inf).min(axis=1)
+    step = np.minimum(1e-3, 0.5 * margin)[:, None] * u[owner]
+    return np.concatenate((z + step, z - step))
 
 
 def pattern_count_exact(w, basis):
     """Count the activation patterns diag(Wv > 0) realized over a subspace.
 
     basis is an (n, ell) matrix with independent columns spanning the
-    subspace, ell at most 3, and W at most 20 rows.  Counting is exact for
-    generic arrangements and for exactly degenerate ones (zero, repeated
-    or negated rows, planes through one exactly shared line): patterns
-    are enumerated at witness points strictly inside the chambers that
-    the projected row hyperplanes carve out of R^ell (points on the
-    planes themselves realize no extra patterns beyond the all-off
-    coordinates they share with adjacent chambers).  When the planes are
-    degenerate only up to rounding, e.g. all contain one line to within
-    1e-16, the slivers between them sit below the witnesses' resolution
-    and the count falls anywhere between the degenerate and the generic
-    one.
+    subspace, ell at most 3, and W at most 20 rows.  The hyperplanes of
+    the projected rows p = W basis carve R^ell into chambers, one pattern
+    each; points on the planes realize no pattern beyond the all-off
+    coordinates they share with adjacent chambers.  _witnesses walks each
+    plane by recursion on the traces the other planes cut in it and steps
+    off it to both sides, which puts a point inside every chamber
+    (8 m (m - 1) points at ell = 3 for generic rows), and all are
+    classified with one product.  A zero row is always off.  Over the
+    unit rows, two planes coincide when the sine of their angle is at
+    most 1e-12 (repeated and negated rows), and three planes share a
+    line when their triple product is at most 1e-12.  Up to that
+    tolerance the count is exact: planes through one line up to rounding
+    count as planes through one line, while planes 1e-8 away from a
+    shared line count as generic, though their thin chambers may be too
+    small for sampled directions to hit.
     """
     w = np.asarray(w, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)
@@ -510,8 +466,9 @@ def pattern_count_exact(w, basis):
         raise ValidationError("basis columns are linearly dependent")
 
     p = w @ basis
-    witnesses = (_witnesses_ell1, _witnesses_ell2, _witnesses_ell3)[ell - 1](p)
-    pats = _patterns_at(p, witnesses)
+    norms = np.linalg.norm(p, axis=1, keepdims=True)
+    p = p / np.where(norms > 0.0, norms, 1.0)
+    pats = _patterns_at(p, _witnesses(p))
 
     comb = sum(math.comb(m, j) for j in range(ell + 1))
     return PatternCount(m=m, ell=ell, count=len(pats), comb_bound=comb,

@@ -253,13 +253,7 @@ def _parse_recipe(text):
         key, eq, val = tok.partition("=")
         if not eq:
             raise ValidationError(f"bad recipe token {tok!r}, expected key=value")
-        try:
-            value = float(val)
-        except ValueError:
-            raise ValidationError(f"bad recipe value {tok!r}") from None
-        if not math.isfinite(value):
-            raise ValidationError(f"recipe value {tok!r} is not finite")
-        kv[key.strip()] = value
+        kv[key] = _number(val, f"recipe {key}")
     extra = set(kv) - {"k", "d", "c_bar", "alpha_floor"}
     if extra:
         raise ValidationError(f"unknown recipe keys {sorted(extra)}")
@@ -358,7 +352,6 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
     gram_max = 0.0
     sqnorm_max = 0.0
     conv_max = 0.0
-    band_low = band_high = None
     for j in range(pairs):
         rng = sub_rng(seed, DOMAIN_SAMPLE, j)
         x = rng.standard_normal(net.k)
@@ -368,8 +361,6 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
         ang_max = np.maximum(ang_max, na.eps_by_layer)
         ratio_min = np.minimum(ratio_min, na.per_layer["norm_sq_ratio"])
         ratio_max = np.maximum(ratio_max, na.per_layer["norm_sq_ratio"])
-        band_low = na.per_layer["band_low"]
-        band_high = na.per_layer["band_high"]
         inner_min = min(inner_min, na.aux["inner_scaled"])
         htilde_max = max(htilde_max, na.aux["htilde_gap"])
         lc = lambda_concentration(net, x, y, eps_ref=eps)
@@ -385,18 +376,20 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
         headline="angle_residual", samples=pairs, seed=int(seed),
         per_layer={"norm_sq_ratio_min": tuple(ratio_min),
                    "norm_sq_ratio_max": tuple(ratio_max),
-                   "band_low": band_low, "band_high": band_high,
+                   "band_low": na.per_layer["band_low"],
+                   "band_high": na.per_layer["band_high"],
                    "lipschitz_ratio_max": tuple(lip_max)},
         aux={"inner_scaled_min": inner_min, "htilde_gap_max": htilde_max},
-        targets={"angle_residual": 4.0 * math.sqrt(eps),
-                 "lipschitz_ratio_max": 1.2,
-                 "inner_scaled_min": 1.0 / (4.0 * math.pi),
-                 "htilde_gap_max": 24.0 * d ** 3 * math.sqrt(eps)}))
+        targets={"angle_residual": na.targets["angle_residual"],
+                 "lipschitz_ratio_max": lip.bound,
+                 "inner_scaled_min": na.targets["inner_scaled"],
+                 "htilde_gap_max": na.targets["htilde_gap"]}))
     reports.append(ConditionReport(
         kind="LAMBDA_CONC", samples=pairs, seed=int(seed),
         aux={"gram_gap_max": gram_max, "sq_norm_scaled_max": sqnorm_max,
              "convexity_residual_max": conv_max},
-        targets={"gram_gap_max": 4.0 * eps * d, "sq_norm_scaled_max": 13.0 / 12.0,
+        targets={"gram_gap_max": lc.targets["gram_gap"],
+                 "sq_norm_scaled_max": lc.targets["sq_norm_scaled"],
                  "convexity_residual_max": 1.0 / 16.0 + 0.05}))
 
     aux = {}

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gpnet.conditions import (ConditionReport, activation_gram_mc,
+from gpnet.conditions import (ConditionReport, _write_text, activation_gram_mc,
                               convexity_direction_check, lambda_concentration,
                               lipschitz_check, log_piece_count_bounds,
                               masked_gram_deviation, noise_coupling,
                               norm_angle_report, omega, pattern_count_exact,
                               r2wdc_deviation, r2wdc_tuple_value, reports_csv_text,
-                              rric_deviation, wdc_deviation, write_reports_csv)
+                              rric_deviation, wdc_deviation)
 from gpnet import conditions
 from gpnet.errors import ValidationError
 from gpnet.geometry import DistortionMatrix, q_matrix, spectral_norm
@@ -420,17 +420,18 @@ def test_patterns_space_shared_axis_degenerate():
 
 
 def test_patterns_ell3_circle_walk_reaches_every_chamber():
-    # generic planes: the circle walk gives two side steps per arc,
-    # 2 (m - 1) arcs per plane, then come four quadrant points per plane
-    # pair and the jitter net; the walk alone must find all m^2 - m + 2
+    # generic planes: each plane's walk finds two points on each of the
+    # m - 1 lines that the other planes cut from it, steps each off the
+    # line to both sides, then off the plane to both sides, so
+    # 8 m (m - 1) witnesses in all; they must find all m^2 - m + 2
     # chambers, since every chamber has a 2-face on some plane
     for m in (2, 3, 8, 14, 20):
         rng = np.random.default_rng(300 + m)
         p = rng.standard_normal((m, 9)) @ rng.standard_normal((9, 3))
-        wit = conditions._witnesses_ell3(p)
-        n_walk = 4 * m * (m - 1)
-        assert len(wit) == n_walk + 2 * m * (m - 1) + conditions._PATTERN_JITTER
-        assert len(conditions._patterns_at(p, wit[:n_walk])) == m * m - m + 2, m
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        wit = conditions._witnesses(p)
+        assert len(wit) == 8 * m * (m - 1)
+        assert len(conditions._patterns_at(p, wit)) == m * m - m + 2, m
 
 
 def test_patterns_with_zero_rows():
@@ -446,8 +447,6 @@ def test_patterns_with_zero_rows():
 def test_patterns_match_per_witness_reference():
     # the batched classifier against one product per witness, on the
     # same witness points, including zero rows and repeated planes
-    witnesses = (conditions._witnesses_ell1, conditions._witnesses_ell2,
-                 conditions._witnesses_ell3)
     for seed in range(30):
         rng = np.random.default_rng(seed)
         m = 4 + seed % 17
@@ -460,14 +459,73 @@ def test_patterns_match_per_witness_reference():
                 w[1] = 2.0 * w[0]
             p = w @ basis
             nonzero = np.any(p != 0.0, axis=1)
+            p[nonzero] /= np.linalg.norm(p[nonzero], axis=1, keepdims=True)
             ref = set()
-            for t in witnesses[ell - 1](p):
+            for t in conditions._witnesses(p):
                 vals = p @ t
                 if not np.any((vals == 0.0) & nonzero):
                     ref.add(tuple(int(v > 0.0) for v in vals))
             pc = pattern_count_exact(w, basis)
             assert pc.patterns == tuple(sorted(ref)), (seed, ell)
             assert pc.count == len(ref)
+
+
+def test_patterns_match_cover_count():
+    # Cover (1965): m' distinct central planes in general position carve
+    # 2 sum_{j<ell} C(m' - 1, j) chambers out of R^ell; zero, repeated
+    # (2.5x) and negated (-3x) rows add no plane, and a zero row is off
+    for ell in (1, 2, 3):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            m = 3 + seed % 18
+            w = rng.standard_normal((m, 8))
+            zero = seed % m
+            if seed % 4 == 1:
+                w[zero] = 0.0
+                distinct = m - 1
+            elif seed % 4 == 2:
+                w[1] = 2.5 * w[0]
+                w[m - 1] = -3.0 * w[0]
+                distinct = m - 2
+            elif seed % 4 == 3:
+                w[zero] = 0.0
+                w[(zero + 1) % m] = -3.0 * w[(zero + 2) % m]
+                distinct = m - 2
+            else:
+                distinct = m
+            pc = pattern_count_exact(w, rng.standard_normal((8, ell)))
+            cover = 2 * sum(math.comb(distinct - 1, j) for j in range(ell))
+            assert pc.count == cover, (ell, seed)
+            if seed % 4 in (1, 3):
+                assert all(pat[zero] == 0 for pat in pc.patterns)
+    # one nonzero row splits the slice in two; no nonzero row leaves one
+    w = np.zeros((4, 5))
+    w[2] = np.arange(1.0, 6.0)
+    for ell in (2, 3):
+        pc = pattern_count_exact(w, np.eye(5)[:, :ell])
+        assert pc.patterns == ((0, 0, 0, 0), (0, 0, 1, 0))
+    pc = pattern_count_exact(np.zeros((4, 5)), np.eye(5)[:, :3])
+    assert pc.patterns == ((0, 0, 0, 0),)
+
+
+def test_patterns_shared_line_tolerance():
+    # three planes share a line when their triple product is at most
+    # 1e-12: within 1e-8 of one line they are still generic, and their
+    # traces in each other's walk, 1e-8 apart, must not merge
+    for seed in range(10):
+        rng = np.random.default_rng(400 + seed)
+        w = rng.standard_normal((8, 3))
+        w[2] = w[0] + w[1] + 1e-8 * rng.standard_normal(3)
+        assert pattern_count_exact(w, np.eye(3)).count == 58, seed
+    # rows projected orthogonal to one axis share it up to rounding: m
+    # planes through one line, 2 m chambers
+    for seed in range(10):
+        rng = np.random.default_rng(500 + seed)
+        m = 3 + seed % 18
+        w = rng.standard_normal((m, 3))
+        axis = unit_vector(rng, 3)
+        w -= np.outer(w @ axis, axis)
+        assert pattern_count_exact(w, np.eye(3)).count == 2 * m, seed
 
 
 def test_patterns_validation():
@@ -635,5 +693,5 @@ def test_report_csv_layout_and_roundtrip(tmp_path):
     assert rows[1] == ["WDC", "1", "deviation", "0.25", "0.5", "10", "0", "3"]
     assert rows[2][2] == "median_deviation" and rows[2][1] == "0"
     p = tmp_path / "rep.csv"
-    write_reports_csv([rep], p)
+    _write_text(p, reports_csv_text([rep]))
     assert p.read_text() == text
