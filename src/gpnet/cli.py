@@ -8,18 +8,17 @@ infeasibility, 3 I/O error.
 """
 
 import argparse
-import math
 import sys
 
-from .conditions import (_csv_text, _write_text, pattern_count_exact, r2wdc_deviation,
-                         reports_csv_text, rric_deviation, wdc_deviation)
+from .conditions import (_PATTERN_MAX_ROWS, _csv_text, _write_text, pattern_count_exact,
+                         r2wdc_deviation, reports_csv_text, rric_deviation, wdc_deviation)
 from .errors import DivergenceError, InfeasibleError, ValidationError
 from .harness import (_parse_ints, _parse_recipe, default_jobs, parse_experiment_config,
                       run_condition_suite, run_experiment, summary_path_for,
                       write_experiment_csvs)
 from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
-from .rng import DOMAIN_INSTANCE, DOMAIN_SAMPLE, sub_rng
-from .solvers import KINDS, SolverConfig, make_instance, solve
+from .rng import DOMAIN_SAMPLE, sub_rng
+from .solvers import KINDS, SolverConfig, make_instance, sensing_matrix, solve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,10 +135,7 @@ def _cmd_check_r2wdc(args):
 
 def _cmd_check_rric(args):
     net, _ = _net_from_args(args)
-    if args.m < 1:
-        raise ValidationError("m must be >= 1")
-    rng = sub_rng(args.seed, DOMAIN_INSTANCE, 1)
-    a = rng.standard_normal((args.m, net.n_out)) / math.sqrt(args.m)
+    a = sensing_matrix(args.m, net.n_out, args.seed)
     rep = rric_deviation(a, net, args.samples, args.seed)
     print(f"rric max deviation {rep.max_eps!r} over {args.samples} pairs "
           f"(skipped {rep.skipped})")
@@ -150,8 +146,8 @@ def _cmd_check_rric(args):
 def _cmd_check_patterns(args):
     if args.ell not in (1, 2, 3):
         raise ValidationError("ell must be 1, 2 or 3")
-    if args.rows < 1 or args.cols < 1:
-        raise ValidationError("--rows and --cols must be >= 1")
+    if not 1 <= args.rows <= _PATTERN_MAX_ROWS or args.cols < 1:
+        raise ValidationError(f"--rows must be in 1..{_PATTERN_MAX_ROWS} and --cols >= 1")
     rng = sub_rng(args.seed, DOMAIN_SAMPLE, 0)
     w = rng.standard_normal((args.rows, args.cols))
     basis = rng.standard_normal((args.cols, args.ell))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import angle_between, angle_profile, g_theta, q_matrix, spectral_norm
-from .net import apply_masked_t, forward, linear_path, preactivations
+from .net import apply_masked_t, forward, linear_path, log_growth, preactivations
 from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
 
 CONDITION_KINDS = ("WDC", "R2WDC", "RRIC", "NOISE", "LAMBDA_CONC",
@@ -273,15 +273,12 @@ def omega(dims, m):
 
         omega = (2 / 2^{d/2}) sqrt(13/12) sqrt((k/m) log(5 prod_j e n_j / k)).
     """
-    dims = tuple(int(n) for n in dims)
-    if len(dims) < 2 or any(n < 1 for n in dims):
-        raise ValidationError(f"bad dims {dims}")
+    growth = log_growth(dims)
     m = int(m)
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    k = dims[0]
-    d = len(dims) - 1
-    log_term = math.log(5.0) + sum(1.0 + math.log(n / k) for n in dims[1:])
+    k, d = int(dims[0]), len(growth)
+    log_term = math.log(5.0) + growth[-1]
     if log_term <= 0.0:
         raise ValidationError("width product too small for the noise level formula")
     return (2.0 / 2.0 ** (d / 2.0)) * math.sqrt(13.0 / 12.0) \
@@ -479,16 +476,7 @@ def pattern_count_exact(w, basis):
 def log_piece_count_bounds(dims):
     """log of the affine-piece bound for each partial depth:
     k * sum_{j<=i} log(e n_j / k), i = 1..d."""
-    dims = tuple(int(n) for n in dims)
-    if len(dims) < 2 or any(n < 1 for n in dims):
-        raise ValidationError(f"bad dims {dims}")
-    k = dims[0]
-    acc = 0.0
-    out = []
-    for n in dims[1:]:
-        acc += 1.0 + math.log(n / k)
-        out.append(k * acc)
-    return tuple(out)
+    return tuple(int(dims[0]) * g for g in log_growth(dims))
 
 
 # ---------------------------------------------------------------------------

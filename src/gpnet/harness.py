@@ -30,18 +30,22 @@ Config files use INI syntax:
     [output]
     path = results.csv
 
-Sweep semantics: m and sigma replace the instance parameter; width
-swaps every hidden width for the value; depth rebuilds dims as the
-first hidden width repeated value times.  Reported errors are relative
-to the planted latent and signal norms.
+Sweep semantics (one SWEEP_AXES row each): m and sigma replace the
+instance parameter; width swaps every hidden width for the value; depth
+rebuilds dims as the first hidden width repeated value times.  Values
+are read literally, % included, and repeated sweep values or seeds are
+rejected.  Reported errors are relative to the planted latent and
+signal norms.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 import concurrent.futures
 import configparser
 import math
 from operator import itemgetter
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,11 +53,27 @@ from .conditions import (ConditionReport, _csv_text, _write_text, lambda_concent
                          lipschitz_check, convexity_direction_check, log_piece_count_bounds,
                          norm_angle_report, r2wdc_deviation, wdc_deviation)
 from .errors import DivergenceError, ValidationError
-from .net import contractive_example_dims, sample_gaussian_net
+from .net import check_dims, contractive_example_dims, sample_gaussian_net
 from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
 from .solvers import KINDS, SolverConfig, make_instance, solve
 
-SWEEP_AXES = ("m", "sigma", "width", "depth")
+
+class _Axis(NamedTuple):
+    """A sweep axis: whether its values must be integers, the cell dims from
+    the spec's dims and a value, and the make_instance arguments a value sets."""
+
+    integral: bool
+    dims: Callable
+    instance: Callable
+
+
+SWEEP_AXES = {
+    "m": _Axis(True, lambda dims, v: dims, lambda v: {"m": int(v)}),
+    "sigma": _Axis(False, lambda dims, v: dims, lambda v: {"sigma": float(v)}),
+    "width": _Axis(True, lambda dims, v: dims[:1] + (int(v),) * (len(dims) - 1),
+                   lambda v: {}),
+    "depth": _Axis(True, lambda dims, v: dims[:1] + dims[1:2] * int(v), lambda v: {}),
+}
 
 EXPERIMENT_COLUMNS = ("sweep_value", "seed", "final_signal_err",
                       "final_latent_err", "iters", "negations", "failed")
@@ -83,46 +103,33 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown kind {self.kind!r}")
-        if self.sweep_axis not in SWEEP_AXES:
-            raise ValidationError(f"sweep must be one of {SWEEP_AXES}")
-        if not self.sweep_values:
-            raise ValidationError("values must be nonempty")
-        if not self.seeds:
-            raise ValidationError("seeds must be nonempty")
-        if len(self.dims) < 2:
-            raise ValidationError("net dims must list (k, n_1, ...)")
+        axis = SWEEP_AXES.get(self.sweep_axis)
+        if axis is None:
+            raise ValidationError(f"sweep must be one of {tuple(SWEEP_AXES)}")
+        if not self.sweep_values or not self.seeds:
+            raise ValidationError("values and seeds must be nonempty")
+        if axis.integral and not all(float(v).is_integer() for v in self.sweep_values):
+            raise ValidationError(f"{self.sweep_axis} sweep values must be integers")
+        # a repeat would run the same cells twice and count them twice
+        if len(set(map(float, self.sweep_values))) < len(self.sweep_values) \
+                or len(set(self.seeds)) < len(self.seeds):
+            raise ValidationError("sweep values and seeds must not repeat")
+        object.__setattr__(self, "dims", check_dims(self.dims))
 
 
 def _cell_dims(spec, value):
-    if spec.sweep_axis == "width":
-        w = int(value)
-        if w < 1:
-            raise ValidationError("width sweep values must be positive")
-        return (spec.dims[0],) + (w,) * (len(spec.dims) - 1)
-    if spec.sweep_axis == "depth":
-        d = int(value)
-        if d < 1:
-            raise ValidationError("depth sweep values must be positive")
-        return (spec.dims[0],) + (spec.dims[1],) * d
-    return spec.dims
+    return SWEEP_AXES[spec.sweep_axis].dims(spec.dims, value)
 
 
 def run_cell(spec, value, seed):
     """One (value, seed) cell; returns a row dict.  Deterministic in its
     arguments only."""
-    dims = _cell_dims(spec, value)
-    net = sample_gaussian_net(dims, spec.net_seed)
-    m = spec.m
-    sigma = spec.sigma
-    if spec.sweep_axis == "m":
-        m = int(value)
-    elif spec.sweep_axis == "sigma":
-        sigma = float(value)
+    net = sample_gaussian_net(_cell_dims(spec, value), spec.net_seed)
+    given = {"m": spec.m, "sigma": spec.sigma, "eta_norm": spec.eta_norm,
+             "n_samples": spec.n_samples} | SWEEP_AXES[spec.sweep_axis].instance(value)
     cfg = replace(spec.solver, seed=int(seed))
     try:
-        inst = make_instance(spec.kind, net, m=m, sigma=sigma,
-                             eta_norm=spec.eta_norm, n_samples=spec.n_samples,
-                             seed=int(seed))
+        inst = make_instance(spec.kind, net, seed=int(seed), **given)
         tr = solve(inst, cfg)
     except DivergenceError as e:
         return {"sweep_value": value, "seed": int(seed),
@@ -267,7 +274,8 @@ def _parse_recipe(text):
 
 def parse_experiment_config(text):
     """Parse the INI grammar documented at module top into an ExperimentSpec."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:
@@ -301,8 +309,8 @@ def parse_experiment_config(text):
         out = cp["output"]["path"]
 
     sweep = exp["sweep"].strip()
-    # m, width and depth are counts; only sigma takes fractional values
-    parse_values = _parse_numbers if sweep == "sigma" else _parse_ints
+    parse_values = _parse_ints if getattr(SWEEP_AXES.get(sweep), "integral", False) \
+        else _parse_numbers
     return ExperimentSpec(
         name=exp.get("name", "experiment"),
         kind=exp["kind"].strip(),
@@ -336,58 +344,45 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
     eps = float(eps_ref)
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValidationError(f"eps_ref must be finite and positive, got {eps_ref!r}")
-    d = net.depth
-    reports = []
-    for i in range(1, d + 1):
-        reports.append(wdc_deviation(net.weights[i - 1], samples, seed, layer=i))
-    for i in range(1, d + 1):
-        reports.append(r2wdc_deviation(net, i, samples, seed))
+    layers = tuple(range(1, net.depth + 1))
+    reports = [wdc_deviation(net.weights[i - 1], samples, seed, layer=i) for i in layers]
+    reports += [r2wdc_deviation(net, i, samples, seed) for i in layers]
 
-    ang_max = np.zeros(d)
-    ratio_min = np.full(d, np.inf)
-    ratio_max = np.zeros(d)
-    lip_max = np.zeros(d)
-    inner_min = math.inf
-    htilde_max = 0.0
-    gram_max = 0.0
-    sqnorm_max = 0.0
-    conv_max = 0.0
+    nas, lcs, lips, convs = [], [], [], []
     for j in range(pairs):
         rng = sub_rng(seed, DOMAIN_SAMPLE, j)
         x = rng.standard_normal(net.k)
         y = rng.standard_normal(net.k)
         near = x + 0.05 * float(np.linalg.norm(x)) * unit_vector(rng, net.k)
-        na = norm_angle_report(net, x, y, eps_ref=eps)
-        ang_max = np.maximum(ang_max, na.eps_by_layer)
-        ratio_min = np.minimum(ratio_min, na.per_layer["norm_sq_ratio"])
-        ratio_max = np.maximum(ratio_max, na.per_layer["norm_sq_ratio"])
-        inner_min = min(inner_min, na.aux["inner_scaled"])
-        htilde_max = max(htilde_max, na.aux["htilde_gap"])
-        lc = lambda_concentration(net, x, y, eps_ref=eps)
-        gram_max = max(gram_max, lc.aux["gram_gap"])
-        sqnorm_max = max(sqnorm_max, lc.aux["sq_norm_scaled"])
-        lip = lipschitz_check(net, x, near, eps_ref=eps)
-        lip_max = np.maximum(lip_max, lip.ratios)
-        conv_max = max(conv_max, convexity_direction_check(net, x, near))
+        nas.append(norm_angle_report(net, x, y, eps_ref=eps))
+        lcs.append(lambda_concentration(net, x, y, eps_ref=eps))
+        lips.append(lipschitz_check(net, x, near, eps_ref=eps))
+        convs.append(convexity_direction_check(net, x, near))
+    # targets and bands depend on the net and eps_ref only: take the last pair's
+    na, lc, lip = nas[-1], lcs[-1], lips[-1]
+    ratios = np.array([r.per_layer["norm_sq_ratio"] for r in nas])
 
-    layers = tuple(range(1, d + 1))
     reports.append(ConditionReport(
-        kind="NORM_ANGLE", layers=layers, eps_by_layer=tuple(ang_max),
+        kind="NORM_ANGLE", layers=layers,
+        eps_by_layer=tuple(np.max([r.eps_by_layer for r in nas], axis=0)),
         headline="angle_residual", samples=pairs, seed=int(seed),
-        per_layer={"norm_sq_ratio_min": tuple(ratio_min),
-                   "norm_sq_ratio_max": tuple(ratio_max),
+        per_layer={"norm_sq_ratio_min": tuple(ratios.min(axis=0)),
+                   "norm_sq_ratio_max": tuple(ratios.max(axis=0)),
                    "band_low": na.per_layer["band_low"],
                    "band_high": na.per_layer["band_high"],
-                   "lipschitz_ratio_max": tuple(lip_max)},
-        aux={"inner_scaled_min": inner_min, "htilde_gap_max": htilde_max},
+                   "lipschitz_ratio_max": tuple(np.max([r.ratios for r in lips],
+                                                       axis=0))},
+        aux={"inner_scaled_min": min(r.aux["inner_scaled"] for r in nas),
+             "htilde_gap_max": max(r.aux["htilde_gap"] for r in nas)},
         targets={"angle_residual": na.targets["angle_residual"],
                  "lipschitz_ratio_max": lip.bound,
                  "inner_scaled_min": na.targets["inner_scaled"],
                  "htilde_gap_max": na.targets["htilde_gap"]}))
     reports.append(ConditionReport(
         kind="LAMBDA_CONC", samples=pairs, seed=int(seed),
-        aux={"gram_gap_max": gram_max, "sq_norm_scaled_max": sqnorm_max,
-             "convexity_residual_max": conv_max},
+        aux={"gram_gap_max": max(r.aux["gram_gap"] for r in lcs),
+             "sq_norm_scaled_max": max(r.aux["sq_norm_scaled"] for r in lcs),
+             "convexity_residual_max": max(convs)},
         targets={"gram_gap_max": lc.targets["gram_gap"],
                  "sq_norm_scaled_max": lc.targets["sq_norm_scaled"],
                  "convexity_residual_max": 1.0 / 16.0 + 0.05}))

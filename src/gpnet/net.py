@@ -22,6 +22,7 @@ path is well defined even on a boundary, where it picks the closed side.
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import accumulate
 import math
 import os
 
@@ -87,6 +88,30 @@ def _as_vector(x, dim, name="x"):
     return x
 
 
+def check_dims(dims):
+    """dims (k, n_1, ..., n_d) as a tuple of ints: at least two entries, each
+    an integer >= 1.  Anything else raises ValidationError; a fractional
+    entry is rejected, never truncated."""
+    dims = tuple(dims)
+    try:
+        out = tuple(map(int, dims))
+    except (TypeError, ValueError, OverflowError):
+        out = ()
+    if out != dims or len(out) < 2 or min(out) < 1:
+        raise ValidationError(
+            f"dims must list at least (k, n_1), each an integer >= 1, got {dims}")
+    return out
+
+
+def log_growth(dims):
+    """Running sums sum_{j<=i} (1 + log(n_j / k)), i = 1..d, added left to
+    right: k times them is the log growth behind the width recipe, the
+    affine-piece bound and omega."""
+    dims = check_dims(dims)
+    k = dims[0]
+    return tuple(accumulate(1.0 + math.log(n / k) for n in dims[1:]))
+
+
 @dataclass(frozen=True)
 class GenerativeNet:
     """Immutable ReLU network: dims (n_0=k, n_1, ..., n_d) and weights.
@@ -98,11 +123,7 @@ class GenerativeNet:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        if len(dims) < 2:
-            raise ValidationError("dims needs at least an input and one layer")
-        if any(n < 1 for n in dims):
-            raise ValidationError(f"all dims must be positive, got {dims}")
+        dims = check_dims(self.dims)
         if len(self.weights) != len(dims) - 1:
             raise ValidationError(
                 f"expected {len(dims) - 1} weight matrices, got {len(self.weights)}")
@@ -163,9 +184,7 @@ def sample_gaussian_net(dims, seed):
     Layer i consumes the dedicated sub-stream (seed, DOMAIN_NET, i), so
     weights of layer i do not depend on the other layers' sizes.
     """
-    dims = tuple(int(n) for n in dims)
-    if len(dims) < 2 or any(n < 1 for n in dims):
-        raise ValidationError(f"dims must list at least (k, n_1) positive sizes, got {dims}")
+    dims = check_dims(dims)
     if any(a * b > np.iinfo(np.intp).max // 8 for a, b in zip(dims, dims[1:])):
         raise ValidationError("dims give a weight matrix larger than the address space")
     weights = []
@@ -258,12 +277,9 @@ def _recipe_dims(k, d, c_bar, alpha):
 
 
 def _recipe_margins(k, d, c_bar, hidden):
-    exp_margin = []
-    log_prod = 0.0  # running log prod_{j<i} (e n_j / k)
-    for i, n in enumerate(hidden, start=1):
-        need = c_bar * k if i == 1 else c_bar * k * log_prod
-        exp_margin.append(n - need)
-        log_prod += 1.0 + math.log(n / k)
+    # layer i needs c_bar k log prod_{j<i} (e n_j / k), and layer 1 c_bar k
+    before = (1.0,) + log_growth((k,) + hidden)[:-1]
+    exp_margin = [n - c_bar * k * g for n, g in zip(hidden, before)]
     width_need = 16.0 * k / (c_bar * math.log(2.0))
     width_margin = [n / math.log(n) - width_need if n > 1 else -math.inf
                     for n in hidden]
@@ -365,10 +381,7 @@ def load_net(path):
         d = int(np.frombuffer(_read_exact(f, 4, "depth"), dtype="<i4")[0])
         if d < 1:
             raise ValidationError(f"bad depth {d} in network file")
-        dims = np.frombuffer(_read_exact(f, 4 * (d + 1), "dims"), dtype="<i4")
-        dims = tuple(int(n) for n in dims)
-        if any(n < 1 for n in dims):
-            raise ValidationError(f"bad dims {dims} in network file")
+        dims = check_dims(np.frombuffer(_read_exact(f, 4 * (d + 1), "dims"), dtype="<i4"))
         weights = []
         for i in range(d):
             n_out, n_in = dims[i + 1], dims[i]

@@ -87,6 +87,16 @@ class Instance:
         return float(np.einsum("ij,ij->", self.m_obs, self.m_obs))
 
 
+def sensing_matrix(m, n_out, seed):
+    """The m x n_out sensing matrix of CS and PR: N(0, 1/m) entries drawn
+    from the sub-stream (seed, DOMAIN_INSTANCE, _A_MAT)."""
+    if m is None or int(m) < 1:
+        raise ValidationError(f"the sensing matrix needs m >= 1 rows, got {m!r}")
+    m = int(m)
+    return sub_rng(seed, DOMAIN_INSTANCE, _A_MAT).standard_normal((m, n_out)) \
+        / math.sqrt(m)
+
+
 def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
                   eta_norm=None, n_samples=None, seed=0):
     """Build an Instance, drawing whatever was not supplied.
@@ -119,12 +129,8 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
     n_out = net.n_out
 
     if kind in ("CS", "PR"):
-        if m is None or int(m) < 1:
-            raise ValidationError(f"kind {kind} needs a positive measurement count m")
-        m = int(m)
-        a = sub_rng(seed, DOMAIN_INSTANCE, _A_MAT).standard_normal((m, n_out)) \
-            / math.sqrt(m)
-        noise_dim = m
+        a = sensing_matrix(m, n_out, seed)
+        noise_dim = a.shape[0]
     elif kind == "DEN":
         noise_dim = n_out
     else:

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from gpnet import cli
 from gpnet.cli import main
 from gpnet.conditions import log_piece_count_bounds
-from gpnet.errors import ValidationError
+from gpnet.errors import InfeasibleError, ValidationError
 from gpnet.harness import (ExperimentSpec, _cell_dims, experiment_csv_text,
                            parse_experiment_config, run_cell,
                            run_condition_suite, run_experiment,
@@ -136,14 +137,56 @@ def test_spec_validates_fields():
         small_spec(sweep_axis="alpha")
 
 
+def test_config_takes_percent_literally():
+    text = CONFIG.replace("name = smoke", "name = 100% noise").replace(
+        "path = smoke.csv", "path = out_%d.csv")
+    spec = parse_experiment_config(text)
+    assert spec.name == "100% noise"
+    assert spec.out == "out_%d.csv"
+
+
+@pytest.mark.parametrize("over", [
+    dict(sweep_values=(0.0, 0.0)),
+    dict(sweep_values=(0.05, 0, 0.05)),
+    dict(sweep_axis="m", sweep_values=(100, 100.0)),
+    dict(seeds=(0, 1, 0)),
+])
+def test_spec_rejects_repeats(over):
+    with pytest.raises(ValidationError, match="repeat"):
+        small_spec(**over)
+
+
+def test_cli_rejects_repeated_values(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG.replace("sweep = m", "sweep = sigma").replace(
+        "values = 100, 200", "values = 0.0, 0.0"))
+    out = tmp_path / "o.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                 "--jobs", "1"]) == 1
+    assert "repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spec_counts_must_be_integers_and_cells_need_valid_dims():
+    for axis in ("m", "width", "depth"):
+        with pytest.raises(ValidationError, match="integers"):
+            small_spec(sweep_axis=axis, sweep_values=(2.5,))
+    # the spec never builds cell dims, so a huge depth is only a number here
+    small_spec(sweep_axis="depth", sweep_values=(10 ** 9,))
+    for axis, value in (("width", 0), ("width", -3), ("depth", 0), ("depth", -1)):
+        spec = small_spec(sweep_axis=axis, sweep_values=(value,))
+        with pytest.raises(ValidationError, match="integer >= 1"):
+            run_cell(spec, float(value), 0)
+
+
 # ---------------------------------------------------------------------------
 # sweep mechanics
 # ---------------------------------------------------------------------------
 
 def test_cell_dims_per_axis():
-    spec = small_spec(sweep_axis="width")
+    spec = small_spec(sweep_axis="width", sweep_values=(25,))
     assert _cell_dims(spec, 25) == (4, 25, 25)
-    spec = small_spec(sweep_axis="depth")
+    spec = small_spec(sweep_axis="depth", sweep_values=(4,))
     assert _cell_dims(spec, 4) == (4, 40, 40, 40, 40)
     spec = small_spec(sweep_axis="sigma")
     assert _cell_dims(spec, 0.3) == (4, 40, 30)
@@ -411,6 +454,15 @@ def test_cli_rejects_bad_sizes_and_stride(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 5
 
 
+def test_cli_check_patterns_limits_rows_before_drawing(monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("check-patterns drew W before checking its rows")
+
+    monkeypatch.setattr(cli, "sub_rng", no_draw)
+    assert main(["check-patterns", "--rows", "21", "--cols", str(10 ** 9)]) == 1
+    assert "--rows" in capsys.readouterr().err
+
+
 def test_cli_trace_stride_thins_csv(tmp_path):
     args = ["solve", "--dims", "4,20,10", "--kind", "DEN", "--t-max", "95",
             "--rel-step-tol", "0", "--seed", "1", "--out"]
@@ -507,6 +559,43 @@ def test_cli_recipe_fuzz_ends_in_an_exit_code(k, d, c_bar, alpha_floor):
 def test_cli_solve_seed_fuzz_ends_in_an_exit_code(seed, net_seed):
     _cli_outcome(["solve", "--dims", "3,8,6", "--kind", "DEN", "--t-max", "2",
                   "--seed", str(seed), "--net-seed", str(net_seed)])
+
+
+_INI_TOKENS = st.one_of(
+    st.integers(-999, 999).map(str),
+    st.floats(-999, 999).map(lambda f: f"{f:.3g}"),
+    st.sampled_from(["nan", "inf", "-inf", "0.5", "2.5", "1e3", "%", "100%", "%d",
+                     "%(x)s", "abc", ""]))
+# a token list, the same list with its first token repeated, or a range
+_INI_VALUES = st.lists(_INI_TOKENS, min_size=1, max_size=3).flatmap(
+    lambda toks: st.sampled_from([", ".join(toks), ", ".join(toks + toks[:1]),
+                                  f"{toks[0]}:{toks[-1]}"]))
+_GOOD_INI = {"name": "fuzz", "kind": "CS", "values": "100, 200", "seeds": "0:3",
+             "dims": "8, 250, 600", "seed": "11", "m": "150", "sigma": "0.1",
+             "t_max": "300", "path": "out.csv"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(sweep=st.sampled_from(("m", "sigma", "width", "depth", "%")),
+       key=st.sampled_from(sorted(_GOOD_INI) + ["recipe"]), value=_INI_VALUES)
+def test_config_fuzz_parses_or_rejects(sweep, key, value):
+    # one key of a good config takes a fuzzed value.  Parse only: no cell
+    # runs, so nothing is drawn at the parsed sizes.
+    ini = dict(_GOOD_INI, **{key: value})
+    net = f"recipe = d=2 k={value}" if key == "recipe" else "dims = {dims}"
+    text = ("[experiment]\nname = {name}\nkind = {kind}\nsweep = " + sweep
+            + "\nvalues = {values}\nseeds = {seeds}\n[net]\n" + net + "\nseed = {seed}\n"
+            "[instance]\nm = {m}\nsigma = {sigma}\n[solver]\nt_max = {t_max}\n"
+            "[output]\npath = {path}\n").format(**ini)
+    try:
+        spec = parse_experiment_config(text)
+    except (ValidationError, InfeasibleError):
+        return
+    assert isinstance(spec, ExperimentSpec)
+    # values are taken literally, % included, up to surrounding blanks
+    assert (spec.name, spec.out) == (ini["name"].strip(), ini["path"].strip())
+    assert len(set(map(float, spec.sweep_values))) == len(spec.sweep_values)
+    assert len(set(spec.seeds)) == len(spec.seeds)
 
 
 @pytest.mark.parametrize("old,new,where", [

@@ -5,9 +5,10 @@ import pytest
 
 from gpnet.errors import ValidationError
 from gpnet.cli import main
-from gpnet.net import (MAGIC, GenerativeNet, apply_masked_t, contractive_example_dims,
-                       forward, linear_path, load_net, preactivations,
-                       sample_gaussian_net, save_net)
+from gpnet.conditions import log_piece_count_bounds, omega
+from gpnet.net import (MAGIC, GenerativeNet, apply_masked_t, check_dims,
+                       contractive_example_dims, forward, linear_path, load_net,
+                       preactivations, sample_gaussian_net, save_net)
 
 # hand-worked tiny case: W = [[1,-1],[-1,1]], x = (1,0)
 # z = (1,-1) -> mask (1,0), G = (1,0), Lambda = [[1,-1],[0,0]]
@@ -60,6 +61,28 @@ def test_sample_invalid_dims():
         sample_gaussian_net((0, 5), seed=0)
     with pytest.raises(ValidationError):
         sample_gaussian_net((4, -2, 3), seed=0)
+
+
+BAD_DIMS = [(8, 250.5), (4, 100.9), (0, 5), (4, 10, 0), (4, math.inf), (4,)]
+
+
+@pytest.mark.parametrize("dims", BAD_DIMS)
+@pytest.mark.parametrize("use", [
+    lambda dims: sample_gaussian_net(dims, 0),
+    lambda dims: omega(dims, 10),
+    log_piece_count_bounds,
+    check_dims,
+], ids=["sample_gaussian_net", "omega", "log_piece_count_bounds", "check_dims"])
+def test_dims_rule_rejects_fractional_and_nonpositive(use, dims):
+    # fractional widths used to be truncated: (8, 250.5) sampled an (8, 250) net
+    with pytest.raises(ValidationError, match="integer >= 1"):
+        use(dims)
+
+
+def test_dims_rule_takes_integral_values():
+    assert check_dims(np.array([4.0, 100.0])) == (4, 100)
+    assert sample_gaussian_net((3.0, 17), 42) == sample_gaussian_net((3, 17), 42)
+    assert log_piece_count_bounds((4.0, 100)) == log_piece_count_bounds((4, 100))
 
 
 def test_net_rejects_bad_weights():
