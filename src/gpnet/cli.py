@@ -3,8 +3,8 @@
 Subcommands: gen-net, solve, check-wdc, check-r2wdc, check-rric,
 check-patterns, conditions, experiment, recipe.  Every command is a pure
 function of its flags, so rerunning with the same flags rewrites the
-same bytes.  Exit codes: 0 success, 1 validation error, 2 divergence or
-infeasibility, 3 I/O error.
+same bytes.  Exit codes: 0 success, 1 validation error or an input too
+large to allocate, 2 divergence or infeasibility, 3 I/O error.
 """
 
 import argparse
@@ -12,13 +12,15 @@ import sys
 
 from .conditions import (_PATTERN_MAX_ROWS, _csv_text, _write_text, pattern_count_exact,
                          r2wdc_deviation, reports_csv_text, rric_deviation, wdc_deviation)
-from .errors import DivergenceError, InfeasibleError, ValidationError
+from .errors import DivergenceError, InfeasibleError, ValidationError, check_count
 from .harness import (_parse_ints, _parse_recipe, default_jobs, parse_experiment_config,
                       run_condition_suite, run_experiment, summary_path_for,
                       write_experiment_csvs)
 from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
 from .rng import DOMAIN_SAMPLE, sub_rng
 from .solvers import KINDS, SolverConfig, make_instance, sensing_matrix, solve
+
+_PATTERN_MAX_COLS = 10 ** 5  # a 20 x 10^5 draw is 16 MB
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,8 +87,7 @@ def _cmd_recipe(args):
 
 
 def _cmd_solve(args):
-    if args.trace_stride < 1:
-        raise ValidationError("--trace-stride must be >= 1")
+    check_count(args.trace_stride, "--trace-stride")
     net, _ = _net_from_args(args)
     inst = make_instance(args.kind, net, seed=args.seed,
                          **_given(args, "m", "sigma", "eta_norm", "n_samples"))
@@ -146,8 +147,9 @@ def _cmd_check_rric(args):
 def _cmd_check_patterns(args):
     if args.ell not in (1, 2, 3):
         raise ValidationError("ell must be 1, 2 or 3")
-    if not 1 <= args.rows <= _PATTERN_MAX_ROWS or args.cols < 1:
-        raise ValidationError(f"--rows must be in 1..{_PATTERN_MAX_ROWS} and --cols >= 1")
+    if not (1 <= args.rows <= _PATTERN_MAX_ROWS and 1 <= args.cols <= _PATTERN_MAX_COLS):
+        raise ValidationError(f"--rows must be in 1..{_PATTERN_MAX_ROWS} and "
+                              f"--cols in 1..{_PATTERN_MAX_COLS}")
     rng = sub_rng(args.seed, DOMAIN_SAMPLE, 0)
     w = rng.standard_normal((args.rows, args.cols))
     basis = rng.standard_normal((args.cols, args.ell))
@@ -273,6 +275,9 @@ def main(argv=None):
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy's message names the size it could not allocate
+        print(f"error: {e or 'out of memory'}", file=sys.stderr)
         return 1
     except (DivergenceError, InfeasibleError) as e:
         print(f"error: {e}", file=sys.stderr)

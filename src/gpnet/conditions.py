@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .geometry import angle_between, angle_profile, g_theta, q_matrix, spectral_norm
 from .net import apply_masked_t, forward, linear_path, log_growth, preactivations
 from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
@@ -163,9 +163,7 @@ def _sampled_report(kind, layer, samples, seed, value, **aux):
     the denominator guard; such tuples are skipped and counted.  aux
     follows the median in the report's aux.
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = check_count(samples, "samples")
     vals = [value(sub_rng(seed, DOMAIN_SAMPLE, j)) for j in range(samples)]
     kept = np.asarray([v for v in vals if v is not None])
     if not kept.size:
@@ -274,9 +272,7 @@ def omega(dims, m):
         omega = (2 / 2^{d/2}) sqrt(13/12) sqrt((k/m) log(5 prod_j e n_j / k)).
     """
     growth = log_growth(dims)
-    m = int(m)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    m = check_count(m, "m")
     k, d = int(dims[0]), len(growth)
     log_term = math.log(5.0) + growth[-1]
     if log_term <= 0.0:
@@ -301,9 +297,7 @@ def noise_coupling(net, a, eta, samples, seed):
             f"measurement matrix must have {net.n_out} columns, got {a.shape}")
     if eta.shape != (a.shape[0],):
         raise ValidationError(f"eta must have length {a.shape[0]}")
-    samples = int(samples)
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
+    samples = check_count(samples, "samples")
     n_eta = float(np.linalg.norm(eta))
     om = omega(net.dims, a.shape[0])
     if n_eta == 0.0:
@@ -635,10 +629,8 @@ def activation_gram_mc(r, s, m, draws, seed):
     s = np.asarray(s, dtype=np.float64)
     if r.ndim != 1 or r.shape != s.shape:
         raise ValidationError("r and s must be equal-length vectors")
-    m = int(m)
-    draws = int(draws)
-    if m < 1 or draws < 1:
-        raise ValidationError("m and draws must be >= 1")
+    m = check_count(m, "m")
+    draws = check_count(draws, "draws")
     n = r.shape[0]
     rng = sub_rng(seed, DOMAIN_SAMPLE, 0)
     acc = np.zeros((n, n))

@@ -9,6 +9,19 @@ class ValidationError(ValueError):
     """Arguments or file contents that violate a documented precondition."""
 
 
+def check_count(value, what, least=1):
+    """value as an int, when it is an integer >= least: an int, or a float
+    with an integral value.  Anything else raises a ValidationError that
+    names what; a fractional count is rejected, never truncated."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return n
+
+
 class DivergenceError(RuntimeError):
     """Iterates or losses left the representable range during a solve."""
 

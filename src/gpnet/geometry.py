@@ -47,7 +47,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 _COLLINEAR_TOL = 1e-12
 _TINY_ANGLE = 1e-12
@@ -237,9 +237,7 @@ def angle_profile(x, y, depth):
 
     With x = y every tb_i is 0 and h_tilde is exactly y / 2^d.
     """
-    depth = int(depth)
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1, got {depth}")
+    depth = check_count(depth, "depth")
     x = _finite_vector(x, "x")
     y = _finite_vector(y, "y")
     if x.shape != y.shape:

@@ -52,7 +52,7 @@ import numpy as np
 from .conditions import (ConditionReport, _csv_text, _write_text, lambda_concentration,
                          lipschitz_check, convexity_direction_check, log_piece_count_bounds,
                          norm_angle_report, r2wdc_deviation, wdc_deviation)
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_count
 from .net import check_dims, contractive_example_dims, sample_gaussian_net
 from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
 from .solvers import KINDS, SolverConfig, make_instance, solve
@@ -266,9 +266,6 @@ def _parse_recipe(text):
         raise ValidationError(f"unknown recipe keys {sorted(extra)}")
     if "k" not in kv or "d" not in kv:
         raise ValidationError("recipe needs at least k and d")
-    for key in ("k", "d"):
-        if kv[key] != int(kv[key]):
-            raise ValidationError(f"recipe {key} must be an integer, got {kv[key]!r}")
     return contractive_example_dims(**kv)
 
 
@@ -337,10 +334,8 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
     A final PATTERN_COUNT report carries the log affine-piece bounds per
     partial depth, plus the width-recipe margins when recipe is given.
     """
-    samples = int(samples)
-    pairs = int(pairs)
-    if samples < 1 or pairs < 1:
-        raise ValidationError("samples and pairs must be >= 1")
+    samples = check_count(samples, "samples")
+    pairs = check_count(pairs, "pairs")
     eps = float(eps_ref)
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValidationError(f"eps_ref must be finite and positive, got {eps_ref!r}")

@@ -28,7 +28,7 @@ import os
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, check_count
 from .rng import DOMAIN_NET, sub_rng
 
 MAGIC = b"GPNET1\x00"
@@ -90,17 +90,14 @@ def _as_vector(x, dim, name="x"):
 
 def check_dims(dims):
     """dims (k, n_1, ..., n_d) as a tuple of ints: at least two entries, each
-    an integer >= 1.  Anything else raises ValidationError; a fractional
-    entry is rejected, never truncated."""
+    a count under check_count.  Anything else raises ValidationError; a
+    fractional entry is rejected, never truncated."""
     dims = tuple(dims)
-    try:
-        out = tuple(map(int, dims))
-    except (TypeError, ValueError, OverflowError):
-        out = ()
-    if out != dims or len(out) < 2 or min(out) < 1:
+    if len(dims) < 2:
         raise ValidationError(
             f"dims must list at least (k, n_1), each an integer >= 1, got {dims}")
-    return out
+    what = f"each entry of dims {dims}"
+    return tuple(check_count(n, what) for n in dims)
 
 
 def log_growth(dims):
@@ -293,15 +290,13 @@ def contractive_example_dims(k, d, c_bar=2.0, alpha_floor=1.0):
     When the resulting integer widths fail either growth check (the ceil
     and the k log k regime make that possible for small k), alpha is
     escalated to the smallest feasible value by doubling plus bisection,
-    so the returned dims always pass both checks.  Raises
-    ValidationError for a non-finite c_bar or alpha_floor, and
-    InfeasibleError if no alpha up to 2^60 times the floor works or a
-    width overflows.
+    so the returned dims always pass both checks.  k and d are counts
+    (check_count, d at least 2).  Raises ValidationError for a non-finite
+    c_bar or alpha_floor, and InfeasibleError if no alpha up to 2^60 times
+    the floor works or a width overflows.
     """
-    k = int(k)
-    d = int(d)
-    if k < 1 or d < 2:
-        raise ValidationError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
+    k = check_count(k, "recipe k")
+    d = check_count(d, "recipe d", least=2)
     c_bar = float(c_bar)
     alpha_floor = float(alpha_floor)
     if not (0.0 < c_bar < math.inf and 0.0 < alpha_floor < math.inf):

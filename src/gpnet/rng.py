@@ -18,7 +18,7 @@ Domain codes (fixed, part of the on-disk reproducibility contract):
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_count
 
 DOMAIN_NET = 0
 DOMAIN_INSTANCE = 1
@@ -30,13 +30,11 @@ def sub_rng(seed, domain, index=0):
     """Return the Generator for stream (seed, domain, index).
 
     Pure function of its arguments: calling it twice gives two generators
-    that produce identical draws.  Raises ValidationError for a negative
-    seed, which SeedSequence cannot take.
+    that produce identical draws.  The seed follows the count rule with
+    least 0, since SeedSequence takes no negative seed.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError(f"seeds must be nonnegative, got {seed}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(domain), int(index)))
+    ss = np.random.SeedSequence(entropy=check_count(seed, "seed", least=0),
+                                spawn_key=(int(domain), int(index)))
     return np.random.default_rng(ss)
 
 

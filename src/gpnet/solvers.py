@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_count
 from .conditions import _csv_text, _write_text
 from .net import (GenerativeNet, _fields_eq, _gamma, _read_exact, apply_masked_t,
                   forward, load_net, save_net)
@@ -90,9 +90,7 @@ class Instance:
 def sensing_matrix(m, n_out, seed):
     """The m x n_out sensing matrix of CS and PR: N(0, 1/m) entries drawn
     from the sub-stream (seed, DOMAIN_INSTANCE, _A_MAT)."""
-    if m is None or int(m) < 1:
-        raise ValidationError(f"the sensing matrix needs m >= 1 rows, got {m!r}")
-    m = int(m)
+    m = check_count(m, "m")
     return sub_rng(seed, DOMAIN_INSTANCE, _A_MAT).standard_normal((m, n_out)) \
         / math.sqrt(m)
 
@@ -161,9 +159,7 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
     elif kind == "DEN":
         b = y_star + eta
     elif kind == "SPIKED_WISHART":
-        if n_samples is None or int(n_samples) < 1:
-            raise ValidationError("SPIKED_WISHART needs a positive n_samples")
-        n_samples = int(n_samples)
+        n_samples = check_count(n_samples, "n_samples")
         u = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_U).standard_normal(n_samples)
         z = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_Z).standard_normal((n_samples, n_out))
         z *= sigma  # B = u y_star^T + sigma Z, built in place in z
@@ -373,10 +369,10 @@ def subgradient(inst, x):
 class SolverConfig:
     """Step schedule and start for the negation-descent loop.
 
-    alpha = c_step 2^d / d^2; t_max = 0 is allowed and records only the
-    starting point.  The start is x0 when given, otherwise a uniform unit
-    latent from the solver sub-stream of seed.  Equality compares x0 by
-    value.
+    alpha = c_step 2^d / d^2; t_max is a count (check_count), and t_max = 0
+    records only the starting point.  The start is x0 when given,
+    otherwise a uniform unit latent from the solver sub-stream of seed.
+    Equality compares x0 by value.
     """
 
     c_step: float = 0.2
@@ -388,8 +384,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.c_step > 0.0:
             raise ValidationError("c_step must be positive")
-        if int(self.t_max) < 0:
-            raise ValidationError("t_max must be >= 0")
+        object.__setattr__(self, "t_max", check_count(self.t_max, "t_max", least=0))
         if not self.rel_step_tol >= 0.0:
             raise ValidationError("rel_step_tol must be nonnegative")
 
@@ -428,8 +423,7 @@ class SolveTrace:
     def csv_text(self, stride=1):
         """The trace as CSV: the rows with iter % stride == 0, then the
         final row if that left it out."""
-        if int(stride) < 1:
-            raise ValidationError(f"trace stride must be >= 1, got {stride}")
+        stride = check_count(stride, "trace stride")
         cols = (self.iters, self.f, self.latent_err, self.signal_err, self.negated)
         rows = list(zip(*(c.tolist() for c in cols)))
         kept = [r for r in rows[:-1] if r[0] % stride == 0] + rows[-1:]
@@ -545,7 +539,7 @@ def solve(inst, cfg):
 
     # overflow becomes inf, which the finiteness checks turn into errors
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(int(cfg.t_max)):
+        for t in range(cfg.t_max):
             ev = _evaluate(inst, x)
             if not math.isfinite(ev[0]):
                 raise DivergenceError(t)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from gpnet import cli
+from gpnet import cli, net as gnet
 from gpnet.cli import main
 from gpnet.conditions import log_piece_count_bounds
 from gpnet.errors import InfeasibleError, ValidationError
@@ -461,6 +461,32 @@ def test_cli_check_patterns_limits_rows_before_drawing(monkeypatch, capsys):
     monkeypatch.setattr(cli, "sub_rng", no_draw)
     assert main(["check-patterns", "--rows", "21", "--cols", str(10 ** 9)]) == 1
     assert "--rows" in capsys.readouterr().err
+    assert main(["check-patterns", "--rows", "20", "--cols", str(10 ** 9)]) == 1
+    assert "--cols" in capsys.readouterr().err
+
+
+class _NoMemory:
+    """A generator whose draws fail as numpy's do when a size cannot be held."""
+
+    def standard_normal(self, shape):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+
+@pytest.mark.parametrize("args", [["gen-net", "--dims", "4,1000000000,1000000000"],
+                                  ["experiment", "--jobs", "1"]],
+                         ids=["gen-net", "experiment"])
+def test_cli_memory_error_exits_1(tmp_path, monkeypatch, capsys, args):
+    # the patched draw raises where numpy would, so nothing is allocated
+    monkeypatch.setattr(gnet, "sub_rng", lambda *a: _NoMemory())
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "out"
+    if args[0] == "experiment":
+        args = args + ["--config", str(cfg)]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_trace_stride_thins_csv(tmp_path):
@@ -559,6 +585,30 @@ def test_cli_recipe_fuzz_ends_in_an_exit_code(k, d, c_bar, alpha_floor):
 def test_cli_solve_seed_fuzz_ends_in_an_exit_code(seed, net_seed):
     _cli_outcome(["solve", "--dims", "3,8,6", "--kind", "DEN", "--t-max", "2",
                   "--seed", str(seed), "--net-seed", str(net_seed)])
+
+
+def _sizes(*extremes):
+    return st.one_of(st.integers(-2, 40), st.sampled_from(extremes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), command=st.sampled_from(("check-patterns", "solve")))
+def test_cli_size_fuzz_ends_in_an_exit_code(data, command, tmp_path_factory):
+    # sizes above the caps are rejected before any draw, so no example
+    # allocates more than the 16 MB of a 20 x 10^5 check-patterns draw
+    if command == "check-patterns":
+        argv = ["check-patterns",
+                "--rows", data.draw(_sizes(0, 20, 21, 10 ** 9)),
+                "--cols", data.draw(_sizes(0, 10 ** 5, 10 ** 5 + 1, 10 ** 9)),
+                "--ell", data.draw(st.integers(-1, 4)),
+                "--seed", data.draw(st.integers(-2, 2 ** 64))]
+    else:
+        argv = ["solve", "--dims", "3,8,6", "--kind", "CS",
+                "--m", data.draw(_sizes(0, 10 ** 4)),
+                "--t-max", data.draw(_sizes(0, 300)),
+                "--trace-stride", data.draw(_sizes(0, 10 ** 9)),
+                "--out", str(tmp_path_factory.mktemp("fuzz") / "trace.csv")]
+    _cli_outcome(list(map(str, argv)))
 
 
 _INI_TOKENS = st.one_of(

@@ -1,14 +1,21 @@
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 
 from gpnet.errors import ValidationError
 from gpnet.cli import main
-from gpnet.conditions import log_piece_count_bounds, omega
+from gpnet.conditions import (activation_gram_mc, log_piece_count_bounds, noise_coupling,
+                              omega, wdc_deviation)
+from gpnet.geometry import angle_profile
+from gpnet.harness import run_condition_suite
 from gpnet.net import (MAGIC, GenerativeNet, apply_masked_t, check_dims,
                        contractive_example_dims, forward, linear_path, load_net,
                        preactivations, sample_gaussian_net, save_net)
+from gpnet.rng import DOMAIN_SAMPLE, sub_rng
+from gpnet.solvers import SolverConfig, make_instance, sensing_matrix, solve
 
 # hand-worked tiny case: W = [[1,-1],[-1,1]], x = (1,0)
 # z = (1,-1) -> mask (1,0), G = (1,0), Lambda = [[1,-1],[0,0]]
@@ -83,6 +90,47 @@ def test_dims_rule_takes_integral_values():
     assert check_dims(np.array([4.0, 100.0])) == (4, 100)
     assert sample_gaussian_net((3.0, 17), 42) == sample_gaussian_net((3, 17), 42)
     assert log_piece_count_bounds((4.0, 100)) == log_piece_count_bounds((4, 100))
+
+
+COUNT_NET = sample_gaussian_net((3, 30, 20), 5)
+COUNT_A = sensing_matrix(10, 20, 0)
+COUNT_TRACE = solve(make_instance("DEN", COUNT_NET, seed=1), SolverConfig(t_max=7))
+
+# (entry point, what its error names, least, the call as a function of one count)
+COUNT_SITES = [
+    ("sub_rng", "seed", 0, lambda v: sub_rng(v, DOMAIN_SAMPLE).standard_normal(2)),
+    ("sensing_matrix", "m", 1, lambda v: sensing_matrix(v, 20, 0)),
+    ("make_instance", "n_samples", 1,
+     lambda v: make_instance("SPIKED_WISHART", COUNT_NET, n_samples=v, seed=0)),
+    ("SolverConfig", "t_max", 0, lambda v: solve(make_instance("DEN", COUNT_NET, seed=1),
+                                                 SolverConfig(t_max=v))),
+    ("csv_text", "trace stride", 1, COUNT_TRACE.csv_text),
+    ("wdc_deviation", "samples", 1, lambda v: wdc_deviation(COUNT_NET.weights[1], v, 0)),
+    ("noise_coupling", "samples", 1,
+     lambda v: noise_coupling(COUNT_NET, COUNT_A, np.ones(10), v, 0)),
+    ("omega", "m", 1, lambda v: omega(COUNT_NET.dims, v)),
+    ("activation_gram_mc-m", "m", 1,
+     lambda v: activation_gram_mc(np.ones(3), np.eye(3)[0], v, 3, 0)),
+    ("activation_gram_mc-draws", "draws", 1,
+     lambda v: activation_gram_mc(np.ones(3), np.eye(3)[0], 4, v, 0)),
+    ("run_condition_suite-samples", "samples", 1,
+     lambda v: run_condition_suite(COUNT_NET, v, 0, pairs=2)),
+    ("run_condition_suite-pairs", "pairs", 1,
+     lambda v: run_condition_suite(COUNT_NET, 2, 0, pairs=v)),
+    ("angle_profile", "depth", 1, lambda v: angle_profile(np.ones(3), np.eye(3)[0], v)),
+    ("contractive_example_dims-k", "recipe k", 1, lambda v: contractive_example_dims(v, 3)),
+    ("contractive_example_dims-d", "recipe d", 2, lambda v: contractive_example_dims(4, v)),
+]
+
+
+@pytest.mark.parametrize("what,least,call", [site[1:] for site in COUNT_SITES],
+                         ids=[site[0] for site in COUNT_SITES])
+def test_count_rule_at_every_entry_point(what, least, call):
+    # a fractional count used to be truncated: samples=2.5 drew 2 samples
+    for bad in (2.5, least - 1):
+        with pytest.raises(ValidationError, match=re.escape(what)):
+            call(bad)
+    assert pickle.dumps(call(3.0)) == pickle.dumps(call(3))
 
 
 def test_net_rejects_bad_weights():
