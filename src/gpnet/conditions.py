@@ -163,12 +163,13 @@ def _sampled_report(kind, layer, samples, seed, value, **aux):
     the denominator guard; such tuples are skipped and counted.  aux
     follows the median in the report's aux.
     """
+    layer = check_count(layer, "layer", least=0)
     samples = check_count(samples, "samples")
     vals = [value(sub_rng(seed, DOMAIN_SAMPLE, j)) for j in range(samples)]
     kept = np.asarray([v for v in vals if v is not None])
     if not kept.size:
         raise ValidationError("all sampled tuples were degenerate")
-    return ConditionReport(kind=kind, layers=(int(layer),),
+    return ConditionReport(kind=kind, layers=(layer,),
                            eps_by_layer=(float(kept.max()),),
                            samples=samples, skipped=samples - kept.size,
                            seed=int(seed),
@@ -199,7 +200,7 @@ def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
     of layer inputs generated by x1..x4.  Returns None when a or b falls
     under the denominator guard.
     """
-    i = int(layer)
+    i = check_count(layer, "layer")
     w = net.weights[i - 1]
     gu = forward(net, x)[i - 1]
     gv = forward(net, y)[i - 1]
@@ -227,8 +228,8 @@ def r2wdc_deviation(net, layer, samples, seed):
     (seed, sample-domain, j); tuples whose range differences fall under
     the 1e-12 denominator guard are skipped and counted.
     """
-    i = int(layer)
-    if not 1 <= i <= net.depth:
+    i = check_count(layer, "layer")
+    if i > net.depth:
         raise ValidationError(f"layer must be in 1..{net.depth}, got {i}")
     return _sampled_report(
         "R2WDC", i, samples, seed,

@@ -106,6 +106,9 @@ class ExperimentSpec:
         axis = SWEEP_AXES.get(self.sweep_axis)
         if axis is None:
             raise ValidationError(f"sweep must be one of {tuple(SWEEP_AXES)}")
+        object.__setattr__(self, "seeds",
+                           tuple(check_count(s, "seed", least=0) for s in self.seeds))
+        object.__setattr__(self, "net_seed", check_count(self.net_seed, "net_seed", least=0))
         if not self.sweep_values or not self.seeds:
             raise ValidationError("values and seeds must be nonempty")
         if axis.integral and not all(float(v).is_integer() for v in self.sweep_values):
@@ -127,15 +130,15 @@ def run_cell(spec, value, seed):
     net = sample_gaussian_net(_cell_dims(spec, value), spec.net_seed)
     given = {"m": spec.m, "sigma": spec.sigma, "eta_norm": spec.eta_norm,
              "n_samples": spec.n_samples} | SWEEP_AXES[spec.sweep_axis].instance(value)
-    cfg = replace(spec.solver, seed=int(seed))
+    cfg = replace(spec.solver, seed=seed)
     try:
-        inst = make_instance(spec.kind, net, seed=int(seed), **given)
+        inst = make_instance(spec.kind, net, seed=seed, **given)
         tr = solve(inst, cfg)
     except DivergenceError as e:
-        return {"sweep_value": value, "seed": int(seed),
+        return {"sweep_value": value, "seed": seed,
                 "final_signal_err": float("nan"), "final_latent_err": float("nan"),
                 "iters": e.iteration, "negations": 0, "failed": 1}
-    return {"sweep_value": value, "seed": int(seed),
+    return {"sweep_value": value, "seed": seed,
             "final_signal_err": tr.final_rel_signal_err,
             "final_latent_err": tr.final_rel_latent_err,
             "iters": tr.n_steps, "negations": len(tr.negations), "failed": 0}
@@ -152,7 +155,7 @@ def run_experiment(spec, jobs=1):
     and per CPU; results are identical to the serial run because each cell
     is a pure function of (spec, value, seed).
     """
-    cells = sorted((float(v), int(s)) for v in spec.sweep_values for s in spec.seeds)
+    cells = sorted((float(v), s) for v in spec.sweep_values for s in spec.seeds)
     jobs = max(1, min(int(jobs), len(cells), default_jobs()))
     if jobs == 1:
         rows = [run_cell(spec, v, s) for v, s in cells]

@@ -2,15 +2,16 @@ import math
 import pickle
 import re
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from gpnet.errors import ValidationError
 from gpnet.cli import main
 from gpnet.conditions import (activation_gram_mc, log_piece_count_bounds, noise_coupling,
-                              omega, wdc_deviation)
+                              omega, r2wdc_deviation, wdc_deviation)
 from gpnet.geometry import angle_profile
-from gpnet.harness import run_condition_suite
+from gpnet.harness import ExperimentSpec, run_condition_suite, run_experiment
 from gpnet.net import (MAGIC, GenerativeNet, apply_masked_t, check_dims,
                        contractive_example_dims, forward, linear_path, load_net,
                        preactivations, sample_gaussian_net, save_net)
@@ -95,6 +96,15 @@ def test_dims_rule_takes_integral_values():
 COUNT_NET = sample_gaussian_net((3, 30, 20), 5)
 COUNT_A = sensing_matrix(10, 20, 0)
 COUNT_TRACE = solve(make_instance("DEN", COUNT_NET, seed=1), SolverConfig(t_max=7))
+COUNT_DEEP_NET = sample_gaussian_net((3, 10, 8, 6), 5)
+
+
+def _one_cell_sweep(seeds=(0,), net_seed=0):
+    """A one-cell DEN sigma sweep on (3, 8, 6), run serially."""
+    return run_experiment(ExperimentSpec(
+        name="count", kind="DEN", sweep_axis="sigma", sweep_values=(0.0,), seeds=seeds,
+        dims=(3, 8, 6), net_seed=net_seed, solver=SolverConfig(t_max=2)))
+
 
 # (entry point, what its error names, least, the call as a function of one count)
 COUNT_SITES = [
@@ -106,6 +116,9 @@ COUNT_SITES = [
                                                  SolverConfig(t_max=v))),
     ("csv_text", "trace stride", 1, COUNT_TRACE.csv_text),
     ("wdc_deviation", "samples", 1, lambda v: wdc_deviation(COUNT_NET.weights[1], v, 0)),
+    ("wdc_deviation-layer", "layer", 0,
+     lambda v: wdc_deviation(COUNT_NET.weights[1], 2, 0, layer=v)),
+    ("r2wdc_deviation-layer", "layer", 1, lambda v: r2wdc_deviation(COUNT_DEEP_NET, v, 2, 0)),
     ("noise_coupling", "samples", 1,
      lambda v: noise_coupling(COUNT_NET, COUNT_A, np.ones(10), v, 0)),
     ("omega", "m", 1, lambda v: omega(COUNT_NET.dims, v)),
@@ -120,6 +133,8 @@ COUNT_SITES = [
     ("angle_profile", "depth", 1, lambda v: angle_profile(np.ones(3), np.eye(3)[0], v)),
     ("contractive_example_dims-k", "recipe k", 1, lambda v: contractive_example_dims(v, 3)),
     ("contractive_example_dims-d", "recipe d", 2, lambda v: contractive_example_dims(4, v)),
+    ("ExperimentSpec-seeds", "seed", 0, lambda v: _one_cell_sweep(seeds=(v,))),
+    ("ExperimentSpec-net_seed", "net_seed", 0, lambda v: _one_cell_sweep(net_seed=v)),
 ]
 
 
@@ -287,6 +302,31 @@ def test_net_io_rejects_garbage(tmp_path):
     q.write_bytes(q.read_bytes()[:-8])
     with pytest.raises(ValidationError):
         load_net(q)
+    # every prefix of a saved file, and one trailing byte, are rejected
+    save_net(sample_gaussian_net((2, 3, 4), seed=0), q)
+    raw = q.read_bytes()
+    for cut in [raw[:n] for n in range(len(raw))] + [raw + b"\x00"]:
+        q.write_bytes(cut)
+        with pytest.raises(ValidationError):
+            load_net(q)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_net_io_single_byte_change_loads_or_rejects(tmp_path_factory, data):
+    # a changed byte may still spell a valid net (a weight moves, say), but
+    # nothing other than a GenerativeNet or a ValidationError comes out
+    p = tmp_path_factory.getbasetemp() / "fuzz.gpn"
+    save_net(sample_gaussian_net((2, 3, 4), seed=0), p)
+    raw = bytearray(p.read_bytes())
+    raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+    p.write_bytes(raw)
+    try:
+        net = load_net(p)
+    except ValidationError:
+        return
+    assert [w.shape for w in net.weights] == list(zip(net.dims[1:], net.dims[:-1]))
+    assert all(np.isfinite(w).all() for w in net.weights)
 
 
 def test_net_io_rejects_oversized_header(tmp_path, capsys):
