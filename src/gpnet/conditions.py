@@ -13,7 +13,9 @@ the worst deviation seen, and serializes to a common CSV layout
     condition, layer, statistic, value, target, samples, skipped, seed
 
 so suites can be concatenated, diffed and rerun byte-identically.
-Convention: layer 0 tags whole-network statistics.
+Convention: layer 0 tags whole-network statistics.  The sampled checks
+and pattern_count_exact run on one BLAS thread (gpnet.blas), so their
+bytes do not depend on the caller's thread count.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +23,7 @@ import math
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import ValidationError, check_count
 from .geometry import angle_between, angle_profile, g_theta, q_matrix, spectral_norm
 from .net import apply_masked_t, forward, linear_path, log_growth, preactivations
@@ -176,6 +179,7 @@ def _sampled_report(kind, layer, samples, seed, value, **aux):
                            aux={"median_deviation": float(np.median(kept)), **aux})
 
 
+@one_blas_thread()
 def wdc_deviation(w, samples, seed, layer=1):
     """Worst masked-Gram deviation of one weight matrix over sampled pairs.
 
@@ -218,6 +222,7 @@ def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
     return abs(bilin - qab) / (na * nb)
 
 
+@one_blas_thread()
 def r2wdc_deviation(net, layer, samples, seed):
     """Worst range-restricted bilinear deviation of layer i.
 
@@ -237,6 +242,7 @@ def r2wdc_deviation(net, layer, samples, seed):
                                                 for _ in range(6))))
 
 
+@one_blas_thread()
 def rric_deviation(a, net, samples, seed):
     """Worst measurement-Gram deviation on differences of network outputs.
 
@@ -421,6 +427,7 @@ def _witnesses(p):
     return np.concatenate((z + step, z - step))
 
 
+@one_blas_thread()
 def pattern_count_exact(w, basis):
     """Count the activation patterns diag(Wv > 0) realized over a subspace.
 

@@ -49,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blas import one_blas_thread, set_blas_threads
 from .conditions import (ConditionReport, _csv_text, _write_text, lambda_concentration,
                          lipschitz_check, convexity_direction_check, log_piece_count_bounds,
                          norm_angle_report, r2wdc_deviation, wdc_deviation)
@@ -106,6 +107,7 @@ class ExperimentSpec:
         axis = SWEEP_AXES.get(self.sweep_axis)
         if axis is None:
             raise ValidationError(f"sweep must be one of {tuple(SWEEP_AXES)}")
+        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "seeds",
                            tuple(check_count(s, "seed", least=0) for s in self.seeds))
         object.__setattr__(self, "net_seed", check_count(self.net_seed, "net_seed", least=0))
@@ -153,14 +155,17 @@ def run_experiment(spec, jobs=1):
 
     jobs > 1 fans cells over a process pool of at most one worker per cell
     and per CPU; results are identical to the serial run because each cell
-    is a pure function of (spec, value, seed).
+    is a pure function of (spec, value, seed).  Each worker runs one BLAS
+    thread, so the workers do not contend for cores; the serial run keeps
+    the caller's count.
     """
     cells = sorted((float(v), s) for v in spec.sweep_values for s in spec.seeds)
     jobs = max(1, min(int(jobs), len(cells), default_jobs()))
     if jobs == 1:
         rows = [run_cell(spec, v, s) for v, s in cells]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=set_blas_threads, initargs=(1,)) as pool:
             rows = list(pool.map(_star_args, [(spec, v, s) for v, s in cells]))
 
     summary = []
@@ -327,6 +332,7 @@ def parse_experiment_config(text):
 # condition suite
 # ---------------------------------------------------------------------------
 
+@one_blas_thread()
 def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
     """All net-only condition checks bundled into one report list.
 
@@ -336,6 +342,7 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
     second point) difference ratios and the descent-direction residual.
     A final PATTERN_COUNT report carries the log affine-piece bounds per
     partial depth, plus the width-recipe margins when recipe is given.
+    The suite runs on one BLAS thread, as the checks in gpnet.conditions do.
     """
     samples = check_count(samples, "samples")
     pairs = check_count(pairs, "pairs")

@@ -12,11 +12,12 @@ from gpnet.conditions import (ConditionReport, _write_text, activation_gram_mc,
                               norm_angle_report, omega, pattern_count_exact,
                               r2wdc_deviation, r2wdc_tuple_value, reports_csv_text,
                               rric_deviation, wdc_deviation)
-from gpnet import conditions
+from gpnet import blas, conditions
 from gpnet.errors import ValidationError
 from gpnet.geometry import DistortionMatrix, q_matrix, spectral_norm
 from gpnet.harness import _parse_recipe
-from gpnet.net import GenerativeNet, forward, linear_path, sample_gaussian_net
+from gpnet.net import (GenerativeNet, contractive_example_dims, forward, linear_path,
+                       sample_gaussian_net)
 from gpnet.rng import DOMAIN_INSTANCE, DOMAIN_SAMPLE, sub_rng, unit_vector
 
 # frozen regression values, measured once on first computation
@@ -151,6 +152,45 @@ def test_wdc_prefix_max_monotone_and_deterministic():
     assert a80 >= a40  # extra samples only append pairs
     again = wdc_deviation(w, samples=80, seed=7)
     assert reports_csv_text([again]) == reports_csv_text([wdc_deviation(w, 80, 7)])
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """The caller's OpenBLAS thread count, put back after the test."""
+    before = blas.blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS mapped into this process")
+    yield before
+    blas.set_blas_threads(before)
+
+
+def test_wdc_bytes_do_not_depend_on_caller_blas_threads(caller_blas_threads):
+    # the layer-2 thin QRs round differently on two threads
+    w = sample_gaussian_net(contractive_example_dims(k=4, d=3).dims, 3).weights[1]
+    texts = []
+    for n in (1, 2):
+        blas.set_blas_threads(n)
+        texts.append(reports_csv_text([wdc_deviation(w, 3, 3001, layer=2)]))
+        assert blas.blas_threads() == n
+        with pytest.raises(ValidationError):
+            wdc_deviation(w, 0, 3001, layer=2)
+        assert blas.blas_threads() == n
+    assert texts[0] == texts[1]
+
+
+def test_one_blas_thread_does_nothing_without_openblas(caller_blas_threads, monkeypatch):
+    get = blas._openblas()[0]
+    blas.set_blas_threads(2)
+    seen = []
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+
+    @blas.one_blas_thread()
+    def probe():
+        seen.append(get())
+
+    probe()
+    assert seen == [2] and get() == 2
+    assert blas.blas_threads() is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from gpnet import cli, net as gnet
+from gpnet import blas, cli, net as gnet
 from gpnet.cli import main
 from gpnet.conditions import log_piece_count_bounds
 from gpnet.errors import InfeasibleError, ValidationError
@@ -145,6 +145,15 @@ def test_config_takes_percent_literally():
     assert spec.out == "out_%d.csv"
 
 
+def test_spec_takes_a_numpy_array_of_sweep_values():
+    spec = small_spec(sweep_values=np.linspace(0.0, 0.1, 3))
+    assert spec.sweep_values == (0.0, 0.05, 0.1)
+    with pytest.raises(ValidationError, match="nonempty"):
+        small_spec(sweep_values=np.array([]))
+    with pytest.raises(ValidationError, match="repeat"):
+        small_spec(sweep_values=np.zeros(2))
+
+
 @pytest.mark.parametrize("over", [
     dict(sweep_values=(0.0, 0.0)),
     dict(sweep_values=(0.05, 0, 0.05)),
@@ -253,12 +262,18 @@ def test_parallel_equals_serial():
 
 
 def test_jobs_clamped_to_cells_and_cpus(monkeypatch):
-    # a fake pool that records its size and maps serially: no process starts
+    # a fake pool that records its size, runs its worker initializer here
+    # and maps serially: no process starts
     sizes = []
+    found = blas.blas_threads() is not None
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            if found:
+                blas.set_blas_threads(2)
+            initializer(*initargs)
+            assert blas.blas_threads() == (1 if found else None)
 
         def __enter__(self):
             return self
@@ -272,13 +287,14 @@ def test_jobs_clamped_to_cells_and_cpus(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     spec = small_spec(solver=SolverConfig(t_max=5))  # 4 cells
-    serial = experiment_csv_text(run_experiment(spec, jobs=1)[0])
-    for jobs, want in ((10 ** 9, 3), (2, 2)):
-        rows, _ = run_experiment(spec, jobs=jobs)
-        assert sizes.pop() == want
-        assert experiment_csv_text(rows) == serial
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    run_experiment(spec, jobs=10 ** 9)
+    with blas.one_blas_thread():  # puts the caller's count back
+        serial = experiment_csv_text(run_experiment(spec, jobs=1)[0])
+        for jobs, want in ((10 ** 9, 3), (2, 2)):
+            rows, _ = run_experiment(spec, jobs=jobs)
+            assert sizes.pop() == want
+            assert experiment_csv_text(rows) == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        run_experiment(spec, jobs=10 ** 9)
     assert sizes == [4]
 
 
@@ -608,6 +624,19 @@ def test_cli_size_fuzz_ends_in_an_exit_code(data, command, tmp_path_factory):
                 "--t-max", data.draw(_sizes(0, 300)),
                 "--trace-stride", data.draw(_sizes(0, 10 ** 9)),
                 "--out", str(tmp_path_factory.mktemp("fuzz") / "trace.csv")]
+    _cli_outcome(list(map(str, argv)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(),
+       command=st.sampled_from(("check-wdc", "check-r2wdc", "check-rric", "conditions")))
+def test_cli_condition_sample_fuzz_ends_in_an_exit_code(data, command):
+    # nothing caps a sample count, so only small ones are drawn
+    argv = [command, "--dims", "3,8,6", "--samples", data.draw(st.integers(-2, 3))]
+    if command == "check-rric":
+        argv += ["--m", 12]
+    elif command == "conditions":
+        argv += ["--pairs", data.draw(st.integers(-2, 3))]
     _cli_outcome(list(map(str, argv)))
 
 
