@@ -13,7 +13,7 @@ import sys
 from .conditions import (_PATTERN_MAX_ROWS, _csv_text, _write_text, pattern_count_exact,
                          r2wdc_deviation, reports_csv_text, rric_deviation, wdc_deviation)
 from .errors import DivergenceError, InfeasibleError, ValidationError, check_count
-from .harness import (_parse_ints, _parse_recipe, default_jobs, parse_experiment_config,
+from .harness import (_parse_ints, _parse_recipe, parse_experiment_config,
                       run_condition_suite, run_experiment, summary_path_for,
                       write_experiment_csvs)
 from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
@@ -181,7 +181,7 @@ def _cmd_experiment(args):
     out = args.out or spec.out
     if out is None:
         raise ValidationError("no output path: pass --out or set [output] path")
-    rows, summary = run_experiment(spec, jobs=args.jobs)
+    rows, summary = run_experiment(spec, **_given(args, "jobs"))
     write_experiment_csvs(rows, summary, out)
     failed = sum(r["failed"] for r in rows)
     print(f"{spec.name}: {len(rows)} cells, {failed} failed; "
@@ -262,7 +262,7 @@ def build_parser():
     p = sub.add_parser("experiment", help="run a sweep described by a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="override the config's output path")
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=int, help="worker processes (default: one per CPU)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -19,14 +19,15 @@ bytes do not depend on the caller's thread count.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 import math
 
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_array, check_count
 from .geometry import angle_between, angle_profile, g_theta, q_matrix, spectral_norm
-from .net import apply_masked_t, forward, linear_path, log_growth, preactivations
+from .net import _layers, apply_masked_t, forward, linear_path, log_growth, preactivations
 from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
 
 CONDITION_KINDS = ("WDC", "R2WDC", "RRIC", "NOISE", "LAMBDA_CONC",
@@ -144,7 +145,9 @@ def masked_gram_deviation(w, r, s):
     Cost O(n p^2 + p^3), against O(m n^2 + n^3) for the dense masked
     Gram and its SVD.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = check_array(w, "w", (None, None))
+    r = check_array(r, "r", w.shape[1:])
+    s = check_array(s, "s", w.shape[1:])
     joint = (w @ r > 0.0) & (w @ s > 0.0)
     dm = q_matrix(r, s)
     b = w[joint]
@@ -187,13 +190,19 @@ def wdc_deviation(w, samples, seed, layer=1):
     (seed, sample-domain, j); see _sampled_report.  aux carries the
     median across pairs.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValidationError(f"expected a matrix, got shape {w.shape}")
+    w = check_array(w, "w", (None, None))
     n = w.shape[1]
     return _sampled_report(
         "WDC", layer, samples, seed,
         lambda rng: masked_gram_deviation(w, unit_vector(rng, n), unit_vector(rng, n)))
+
+
+def _layer_input(net, i, x, what):
+    """G_{i-1}(x), the input of layer i, from the first i - 1 layers."""
+    x = check_array(x, what, (net.k,))
+    for _, x in islice(_layers(net, x), i - 1):
+        pass
+    return x
 
 
 def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
@@ -201,15 +210,17 @@ def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
 
     Evaluates |<(W_{+,u}^T W_{+,v} - Q_{u,v}) a, b>| / (|a| |b|) where
     u, v are the layer inputs generated by x, y and a, b are differences
-    of layer inputs generated by x1..x4.  Returns None when a or b falls
-    under the denominator guard.
+    of layer inputs generated by x1..x4.  Each latent goes through the
+    first i - 1 layers only.  Returns None when a or b falls under the
+    denominator guard.
     """
     i = check_count(layer, "layer")
     w = net.weights[i - 1]
-    gu = forward(net, x)[i - 1]
-    gv = forward(net, y)[i - 1]
-    a = forward(net, x1)[i - 1] - forward(net, x2)[i - 1]
-    b = forward(net, x3)[i - 1] - forward(net, x4)[i - 1]
+    gu, gv, g1, g2, g3, g4 = (
+        _layer_input(net, i, v, name) for v, name in
+        zip((x, y, x1, x2, x3, x4), ("x", "y", "x1", "x2", "x3", "x4")))
+    a = g1 - g2
+    b = g3 - g4
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na < _DENOM_TOL or nb < _DENOM_TOL:
@@ -251,10 +262,7 @@ def rric_deviation(a, net, samples, seed):
     latents, computed as |<A u, A v> - <u, v>| to avoid forming A^T A.
     Pairs with a difference under the denominator guard are skipped.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.n_out:
-        raise ValidationError(
-            f"measurement matrix must have {net.n_out} columns, got {a.shape}")
+    a = check_array(a, "a", (None, net.n_out))
 
     def pair(rng):
         g = [forward(net, rng.standard_normal(net.k))[-1] for _ in range(4)]
@@ -297,13 +305,8 @@ def noise_coupling(net, a, eta, samples, seed):
     both of which the theory keeps below omega(dims, m).  Targets carry
     that level; aux reports the two maxima separately.
     """
-    a = np.asarray(a, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != net.n_out:
-        raise ValidationError(
-            f"measurement matrix must have {net.n_out} columns, got {a.shape}")
-    if eta.shape != (a.shape[0],):
-        raise ValidationError(f"eta must have length {a.shape[0]}")
+    a = check_array(a, "a", (None, net.n_out))
+    eta = check_array(eta, "eta", a.shape[:1])
     samples = check_count(samples, "samples")
     n_eta = float(np.linalg.norm(eta))
     om = omega(net.dims, a.shape[0])
@@ -448,16 +451,12 @@ def pattern_count_exact(w, basis):
     shared line count as generic, though their thin chambers may be too
     small for sampled directions to hit.
     """
-    w = np.asarray(w, dtype=np.float64)
-    basis = np.asarray(basis, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValidationError(f"expected a weight matrix, got shape {w.shape}")
+    w = check_array(w, "w", (None, None))
     m, n = w.shape
     if m > _PATTERN_MAX_ROWS:
         raise ValidationError(
             f"exact pattern counting supports at most {_PATTERN_MAX_ROWS} rows, got {m}")
-    if basis.ndim != 2 or basis.shape[0] != n:
-        raise ValidationError(f"basis must be ({n}, ell), got {basis.shape}")
+    basis = check_array(basis, "basis", (n, None))
     ell = basis.shape[1]
     if ell not in (1, 2, 3):
         raise ValidationError(f"subspace dimension must be 1, 2 or 3, got {ell}")
@@ -501,8 +500,8 @@ def lambda_concentration(net, x, y, eps_ref=0.2):
       sq_norm_scaled 2^d lambda_max(Lambda_x^T Lambda_x),      target 13/12
       htilde_gap     2^d |Lambda_x^T G(y) - h_tilde| / |y|,    target 24 d^3 sqrt(eps)
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = check_array(x, "x", (net.k,))
+    y = check_array(y, "y", (net.k,))
     if np.linalg.norm(x) == 0.0 or np.linalg.norm(y) == 0.0:
         raise ValidationError("latents must be nonzero")
     _require_off_boundary(net, x, "x")
@@ -608,8 +607,8 @@ def convexity_direction_check(net, x, y):
     order on top of it for the masks that y flips; when y shares x's
     masks the first-order term alone bounds it.  Requires x != y.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = check_array(x, "x", (net.k,))
+    y = check_array(y, "y", (net.k,))
     if np.array_equal(x, y):
         raise ValidationError("x and y must differ")
     outs_x = forward(net, x)
@@ -633,10 +632,8 @@ def activation_gram_mc(r, s, m, draws, seed):
     bounded; the draw sequence, and hence the result, is independent of
     the chunking.
     """
-    r = np.asarray(r, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if r.ndim != 1 or r.shape != s.shape:
-        raise ValidationError("r and s must be equal-length vectors")
+    r = check_array(r, "r", (None,))
+    s = check_array(s, "s", r.shape)
     m = check_count(m, "m")
     draws = check_count(draws, "draws")
     n = r.shape[0]

@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes: bad inputs exit 1, numerical
 failures (divergence, infeasible width search) exit 2, I/O problems exit 3.
 """
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Arguments or file contents that violate a documented precondition."""
@@ -20,6 +22,27 @@ def check_count(value, what, least=1):
     if n is None or n != value or n < least:
         raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
     return n
+
+
+def check_array(value, what, shape):
+    """value as a float64 array whose ndim and sizes match shape (None
+    matches any size) and whose entries are all finite.  Anything else,
+    a value numpy cannot convert included, raises a ValidationError that
+    names what.  A float64 ndarray passes without a copy."""
+    if type(value) is not np.ndarray or value.dtype != np.float64:
+        try:
+            value = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"{what} must be a float array, got a {type(value).__name__}") from None
+    if value.shape != shape and (value.ndim != len(shape) or any(
+            n is not None and n != got for n, got in zip(shape, value.shape))):
+        want = ", ".join("*" if n is None else str(n) for n in shape)
+        raise ValidationError(
+            f"{what} must have shape ({want}{',' * (len(shape) == 1)}), got {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValidationError(f"{what} contains non-finite entries")
+    return value
 
 
 class DivergenceError(RuntimeError):

@@ -47,20 +47,11 @@ import warnings
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_array, check_count
 
 _COLLINEAR_TOL = 1e-12
 _TINY_ANGLE = 1e-12
 _QLIP_CONST = 2.0 / math.pi + 2.0 * math.sqrt(79.0)
-
-
-def _finite_vector(v, name):
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValidationError(f"{name} must be a nonempty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return v
 
 
 def spectral_norm(mat):
@@ -71,9 +62,7 @@ def spectral_norm(mat):
     iteration on A^T A beyond that (relative tolerance 1e-9, at most
     10^4 iterations).
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValidationError(f"spectral_norm expects a matrix, got shape {mat.shape}")
+    mat = check_array(mat, "mat", (None, None))
     if mat.size == 0:
         return 0.0
     if max(mat.shape) <= 2000:
@@ -97,10 +86,8 @@ def spectral_norm(mat):
 
 def angle_between(x, y):
     """Angle in [0, pi]; exactly 0.0 for bitwise-identical inputs."""
-    x = _finite_vector(x, "x")
-    y = _finite_vector(y, "y")
-    if x.shape != y.shape:
-        raise ValidationError(f"shape mismatch {x.shape} vs {y.shape}")
+    x = check_array(x, "x", (None,))
+    y = check_array(y, "y", x.shape)
     nx = np.linalg.norm(x)
     ny = np.linalg.norm(y)
     if nx == 0.0 or ny == 0.0:
@@ -132,7 +119,7 @@ class DistortionMatrix:
 
     def apply(self, v):
         """Q v in O(n), without forming Q."""
-        v = np.asarray(v, dtype=np.float64)
+        v = check_array(v, "v", self.frame.shape[1:])
         return self.a * v + self.frame.T @ (self.core @ (self.frame @ v))
 
     @cached_property
@@ -163,11 +150,11 @@ def q_matrix(r, s):
     zero matrix, matching the theta -> pi limit.  The result is kept
     factored; its .q attribute builds the dense matrix.
     """
-    r = _finite_vector(r, "r")
-    s = _finite_vector(s, "s")
-    if r.shape != s.shape:
-        raise ValidationError(f"shape mismatch {r.shape} vs {s.shape}")
+    r = check_array(r, "r", (None,))
+    s = check_array(s, "s", r.shape)
     n = r.shape[0]
+    if not n:
+        raise ValidationError("r and s must be nonempty vectors")
     nr = np.linalg.norm(r)
     ns = np.linalg.norm(s)
     if nr == 0.0 or ns == 0.0:
@@ -238,10 +225,8 @@ def angle_profile(x, y, depth):
     With x = y every tb_i is 0 and h_tilde is exactly y / 2^d.
     """
     depth = check_count(depth, "depth")
-    x = _finite_vector(x, "x")
-    y = _finite_vector(y, "y")
-    if x.shape != y.shape:
-        raise ValidationError(f"shape mismatch {x.shape} vs {y.shape}")
+    x = check_array(x, "x", (None,))
+    y = check_array(y, "y", x.shape)
     nx = np.linalg.norm(x)
     ny = np.linalg.norm(y)
     if nx == 0.0 or ny == 0.0:
@@ -274,9 +259,10 @@ def q_lipschitz_gap(r, r_t, s, s_t):
     Returns (gap, bound) where gap = ||Q_{r,s} - Q_{r_t,s_t}|| and
     bound = (2/pi + 2 sqrt(79)) * max(||r_t - r||, ||s_t - s||).
     """
-    vecs = [_finite_vector(v, n) for v, n in
-            ((r, "r"), (r_t, "r_t"), (s, "s"), (s_t, "s_t"))]
-    for v, name in zip(vecs, ("r", "r_t", "s", "s_t")):
+    names = ("r", "r_t", "s", "s_t")
+    n = check_array(r, "r", (None,)).shape
+    vecs = [check_array(v, name, n) for v, name in zip((r, r_t, s, s_t), names)]
+    for v, name in zip(vecs, names):
         if abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValidationError(f"{name} must be a unit vector")
     r, r_t, s, s_t = vecs

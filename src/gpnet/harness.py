@@ -150,17 +150,18 @@ def _star_args(args):
     return run_cell(*args)
 
 
-def run_experiment(spec, jobs=1):
+def run_experiment(spec, jobs=None):
     """Run the sweep grid; returns (rows, summary) sorted by (value, seed).
 
-    jobs > 1 fans cells over a process pool of at most one worker per cell
-    and per CPU; results are identical to the serial run because each cell
-    is a pure function of (spec, value, seed).  Each worker runs one BLAS
-    thread, so the workers do not contend for cores; the serial run keeps
-    the caller's count.
+    jobs (default default_jobs(), one per CPU) > 1 fans cells over a
+    process pool of at most one worker per cell and per CPU; results are
+    identical to the serial run because each cell is a pure function of
+    (spec, value, seed).  Each worker runs one BLAS thread, so the workers
+    do not contend for cores; the serial run keeps the caller's count.
     """
     cells = sorted((float(v), s) for v in spec.sweep_values for s in spec.seeds)
-    jobs = max(1, min(int(jobs), len(cells), default_jobs()))
+    cpus = default_jobs()
+    jobs = max(1, min(cpus if jobs is None else int(jobs), len(cells), cpus))
     if jobs == 1:
         rows = [run_cell(spec, v, s) for v, s in cells]
     else:

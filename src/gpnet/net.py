@@ -28,7 +28,7 @@ import os
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, check_count
+from .errors import InfeasibleError, ValidationError, check_array, check_count
 from .rng import DOMAIN_NET, sub_rng
 
 MAGIC = b"GPNET1\x00"
@@ -78,16 +78,6 @@ def _norm_bound(w):
     return min(fro, mixed) * (1.0 + 2.0 * _gamma(w.size + 4))
 
 
-def _as_vector(x, dim, name="x"):
-    if type(x) is not np.ndarray or x.dtype != np.float64:
-        x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != dim:
-        raise ValidationError(f"{name} must be a vector of length {dim}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValidationError(f"{name} contains non-finite entries")
-    return x
-
-
 def check_dims(dims):
     """dims (k, n_1, ..., n_d) as a tuple of ints: at least two entries, each
     a count under check_count.  Anything else raises ValidationError; a
@@ -126,13 +116,8 @@ class GenerativeNet:
                 f"expected {len(dims) - 1} weight matrices, got {len(self.weights)}")
         mats = []
         for i, w in enumerate(self.weights):
-            w = np.ascontiguousarray(w, dtype=np.float64)
-            want = (dims[i + 1], dims[i])
-            if w.shape != want:
-                raise ValidationError(f"layer {i + 1} weight shape {w.shape}, expected {want}")
-            if not np.all(np.isfinite(w)):
-                raise ValidationError(f"layer {i + 1} weights contain non-finite entries")
-            mats.append(_freeze(w))
+            w = check_array(w, f"layer {i + 1} weights", (dims[i + 1], dims[i]))
+            mats.append(_freeze(np.ascontiguousarray(w)))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "weights", tuple(mats))
 
@@ -202,13 +187,13 @@ def _layers(net, x):
 
 def forward(net, x):
     """All layer outputs [G_0(x)=x, G_1(x), ..., G_d(x)]."""
-    x = _as_vector(x, net.k)
+    x = check_array(x, "x", (net.k,))
     return [x] + [out for _, out in _layers(net, x)]
 
 
 def preactivations(net, x):
     """Per-layer pre-relu vectors z_i = W_i G_{i-1}(x), i = 1..d."""
-    return [z for z, _ in _layers(net, _as_vector(x, net.k))]
+    return [z for z, _ in _layers(net, check_array(x, "x", (net.k,)))]
 
 
 def linear_path(net, x):
@@ -219,7 +204,7 @@ def linear_path(net, x):
     layer widths used here (thousands); use apply_masked_t for a
     matrix-free transposed product when that ever matters.
     """
-    x = _as_vector(x, net.k)
+    x = check_array(x, "x", (net.k,))
     masks = []
     mats = [np.eye(net.k)]
     for w, (z, _) in zip(net.weights, _layers(net, x)):
@@ -232,7 +217,7 @@ def linear_path(net, x):
 
 def apply_masked_t(net, masks, w_vec):
     """Matrix-free Lambda_d^T w for a fixed mask sequence."""
-    v = np.asarray(w_vec, dtype=np.float64)
+    v = check_array(w_vec, "w_vec", (net.n_out,))
     for w, m in zip(net.weights[::-1], masks[::-1]):
         v = w.T @ (m * v)
     return v

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError, check_count
+from .errors import DivergenceError, ValidationError, check_array, check_count
 from .conditions import _csv_text, _write_text
 from .net import GenerativeNet, _fields_eq, _gamma, apply_masked_t, forward
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
@@ -91,28 +91,24 @@ class Instance:
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"instance sigma must be finite and nonnegative, "
                                   f"got {self.sigma!r}")
-        shapes = {}
-        for name in ("x_star", "y_star", "a", "b", "m_obs", "eta"):
-            arr = getattr(self, name)
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValidationError(f"instance {name} contains non-finite entries")
-            shapes[name] = None if arr is None else np.shape(arr)
-        a = shapes["a"]
         if kind in ("CS", "PR"):
-            if a is None or len(a) != 2 or a[0] < 1 or a[1] != n_out:
-                raise ValidationError(f"instance a must be an (m, {n_out}) matrix for "
-                                      f"kind {kind}, got {a}")
-            want = {"b": a[:1], "m_obs": None, "eta": a[:1]}
+            m = len(check_array(self.a, "instance a", (None, n_out)))
+            if not m:
+                raise ValidationError("instance a needs at least one row")
+            want = {"a": (m, n_out), "b": (m,), "m_obs": None, "eta": (m,)}
         elif kind == "DEN":
             want = {"a": None, "b": (n_out,), "m_obs": None, "eta": (n_out,)}
         else:
             want = {"a": None, "b": None, "m_obs": (n_out, n_out), "eta": None}
         want |= {"x_star": (self.net.k,), "y_star": (n_out,)}
         for name, shape in want.items():
+            arr = getattr(self, name)
             # eta is optional: an Instance built by hand may carry none
-            if shapes[name] != shape and not (name == "eta" and shapes[name] is None):
-                raise ValidationError(f"instance {name} has shape {shapes[name]}, but "
-                                      f"kind {kind} on a {self.net.dims} net needs {shape}")
+            if arr is None and (shape is None or name == "eta"):
+                continue
+            if shape is None:
+                raise ValidationError(f"instance {name} must be None for kind {kind}")
+            object.__setattr__(self, name, check_array(arr, f"instance {name}", shape))
 
     @cached_property
     def m_sq_norm(self):
@@ -150,8 +146,8 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
     if x_star is None:
         x_star = unit_vector(sub_rng(seed, DOMAIN_INSTANCE, _X_STAR), net.k)
     else:
-        x_star = np.asarray(x_star, dtype=np.float64)
-        if x_star.shape != (net.k,) or not np.linalg.norm(x_star) > 0.0:
+        x_star = check_array(x_star, "x_star", (net.k,))
+        if not np.linalg.norm(x_star) > 0.0:
             raise ValidationError("x_star must be a nonzero latent vector")
     y_star = forward(net, x_star)[-1]
 
@@ -169,11 +165,7 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
 
     if noise_dim is not None:
         if eta is not None:
-            eta = np.asarray(eta, dtype=np.float64)
-            if eta.shape != (noise_dim,):
-                raise ValidationError(f"eta must have length {noise_dim}")
-            if not np.all(np.isfinite(eta)):
-                raise ValidationError("eta contains non-finite entries")
+            eta = check_array(eta, "eta", (noise_dim,))
         elif eta_norm is not None:
             eta_norm = float(eta_norm)
             if not (math.isfinite(eta_norm) and eta_norm >= 0.0):
@@ -415,11 +407,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.c_step > 0.0:
-            raise ValidationError("c_step must be positive")
+        if not 0.0 < self.c_step < math.inf:
+            raise ValidationError(f"c_step must be positive and finite, got {self.c_step!r}")
         object.__setattr__(self, "t_max", check_count(self.t_max, "t_max", least=0))
-        if not self.rel_step_tol >= 0.0:
-            raise ValidationError("rel_step_tol must be nonnegative")
+        if not 0.0 <= self.rel_step_tol < math.inf:
+            raise ValidationError(
+                f"rel_step_tol must be nonnegative and finite, got {self.rel_step_tol!r}")
 
     __eq__ = _fields_eq
 
@@ -468,8 +461,8 @@ class SolveTrace:
 
 def _start_point(inst, cfg):
     if cfg.x0 is not None:
-        x0 = np.asarray(cfg.x0, dtype=np.float64)
-        if x0.shape != (inst.net.k,) or not np.linalg.norm(x0) > 0.0:
+        x0 = check_array(cfg.x0, "x0", (inst.net.k,))
+        if not np.linalg.norm(x0) > 0.0:
             raise ValidationError("x0 must be a nonzero latent vector")
         return x0.copy()
     return unit_vector(sub_rng(cfg.seed, DOMAIN_X0, 0), inst.net.k)

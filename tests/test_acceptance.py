@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from gpnet.blas import blas_threads, set_blas_threads
 from gpnet.cli import main
 from gpnet.conditions import (activation_gram_mc, convexity_direction_check,
                               lipschitz_check, norm_angle_report,
@@ -371,16 +372,23 @@ t_max = 80
                            "--pairs", "5"],
         "exp.csv": ["experiment", "--config", str(cfg), "--jobs", "1"],
     }
+    # the second round runs on two BLAS threads: the bytes must not move
     rounds = []
-    for _ in range(2):
-        outs = {}
-        for name, args in commands.items():
-            path = tmp_path / name
-            assert main(args + ["--out", str(path)]) == 0
-            outs[name] = path.read_bytes()
-            if name == "exp.csv":
-                outs["exp_summary.csv"] = (tmp_path / "exp_summary.csv").read_bytes()
-        rounds.append(outs)
+    before = blas_threads()
+    try:
+        for threads in (1, 2):
+            set_blas_threads(threads)
+            outs = {}
+            for name, args in commands.items():
+                path = tmp_path / name
+                assert main(args + ["--out", str(path)]) == 0
+                outs[name] = path.read_bytes()
+                if name == "exp.csv":
+                    outs["exp_summary.csv"] = (tmp_path / "exp_summary.csv").read_bytes()
+            rounds.append(outs)
+    finally:
+        if before is not None:
+            set_blas_threads(before)
     assert rounds[0] == rounds[1]
     net.unlink()
     assert main(["gen-net", "--dims", "6,60,40", "--net-seed", "1",

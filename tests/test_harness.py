@@ -457,6 +457,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "--dims" in capsys.readouterr().err
     assert main(["gen-net", "--dims", "8,1e300", "--out", str(net)]) == 1
     assert "address space" in capsys.readouterr().err
+    # validation: an infinite step size or step tolerance, as the INI rejects them
+    for flag, field in (("--c-step", "c_step"), ("--rel-step-tol", "rel_step_tol")):
+        assert main(["solve", "--net", str(net), "--kind", "CS", "--m", "10",
+                     flag, "inf"]) == 1
+        assert field in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_sizes_and_stride(tmp_path, capsys):

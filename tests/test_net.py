@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import re
@@ -8,9 +9,13 @@ import pytest
 
 from gpnet.errors import ValidationError
 from gpnet.cli import main
-from gpnet.conditions import (activation_gram_mc, log_piece_count_bounds, noise_coupling,
-                              omega, r2wdc_deviation, wdc_deviation)
-from gpnet.geometry import angle_profile
+from gpnet.conditions import (activation_gram_mc, convexity_direction_check,
+                              lambda_concentration, log_piece_count_bounds,
+                              masked_gram_deviation, noise_coupling, omega,
+                              pattern_count_exact, r2wdc_deviation, r2wdc_tuple_value,
+                              rric_deviation, wdc_deviation)
+from gpnet.geometry import (angle_between, angle_profile, q_lipschitz_gap, q_matrix,
+                            spectral_norm)
 from gpnet.harness import ExperimentSpec, run_condition_suite, run_experiment
 from gpnet.net import (MAGIC, GenerativeNet, apply_masked_t, check_dims,
                        contractive_example_dims, forward, linear_path, load_net,
@@ -146,6 +151,96 @@ def test_count_rule_at_every_entry_point(what, least, call):
         with pytest.raises(ValidationError, match=re.escape(what)):
             call(bad)
     assert pickle.dumps(call(3.0)) == pickle.dumps(call(3))
+
+
+ARRAY_X = np.array([0.3, -1.0, 0.5])
+ARRAY_Y = np.array([-0.2, 0.4, 0.9])
+ARRAY_U = ARRAY_X / np.linalg.norm(ARRAY_X)
+ARRAY_MASKS = [o > 0.0 for o in forward(COUNT_NET, ARRAY_X)[1:]]
+ARRAY_CS = make_instance("CS", COUNT_NET, m=10, seed=0)
+ARRAY_WIGNER = make_instance("SPIKED_WIGNER", COUNT_NET, sigma=0.1, seed=0)
+ARRAY_W = COUNT_NET.weights[1]  # 20 x 30
+
+
+def _solve_from(x0):
+    return solve(ARRAY_CS, SolverConfig(x0=x0, t_max=1))
+
+
+# (entry point, the argument its error names, a valid value, the call as a
+# function of that argument)
+ARRAY_SITES = [
+    ("forward", "x", ARRAY_X, lambda v: forward(COUNT_NET, v)),
+    ("preactivations", "x", ARRAY_X, lambda v: preactivations(COUNT_NET, v)),
+    ("linear_path", "x", ARRAY_X, lambda v: linear_path(COUNT_NET, v)),
+    ("apply_masked_t", "w_vec", np.ones(20),
+     lambda v: apply_masked_t(COUNT_NET, ARRAY_MASKS, v)),
+    ("GenerativeNet", "layer 2 weights", ARRAY_W,
+     lambda v: GenerativeNet(COUNT_NET.dims, (COUNT_NET.weights[0], v))),
+    ("angle_between-x", "x", ARRAY_X, lambda v: angle_between(v, ARRAY_Y)),
+    ("angle_between-y", "y", ARRAY_Y, lambda v: angle_between(ARRAY_X, v)),
+    ("q_matrix-r", "r", ARRAY_X, lambda v: q_matrix(v, ARRAY_Y)),
+    ("q_matrix-s", "s", ARRAY_Y, lambda v: q_matrix(ARRAY_X, v)),
+    ("angle_profile-x", "x", ARRAY_X, lambda v: angle_profile(v, ARRAY_Y, 2)),
+    ("angle_profile-y", "y", ARRAY_Y, lambda v: angle_profile(ARRAY_X, v, 2)),
+    ("q_lipschitz_gap-r", "r", ARRAY_U, lambda v: q_lipschitz_gap(v, *[ARRAY_U] * 3)),
+    ("q_lipschitz_gap-s_t", "s_t", ARRAY_U, lambda v: q_lipschitz_gap(*[ARRAY_U] * 3, v)),
+    ("DistortionMatrix.apply", "v", ARRAY_Y, q_matrix(ARRAY_X, ARRAY_Y).apply),
+    ("spectral_norm", "mat", ARRAY_W, spectral_norm),
+    ("masked_gram_deviation-w", "w", ARRAY_W,
+     lambda v: masked_gram_deviation(v, np.ones(30), np.arange(30.0))),
+    ("masked_gram_deviation-r", "r", np.ones(30),
+     lambda v: masked_gram_deviation(ARRAY_W, v, np.arange(30.0))),
+    ("masked_gram_deviation-s", "s", np.arange(30.0),
+     lambda v: masked_gram_deviation(ARRAY_W, np.ones(30), v)),
+    ("wdc_deviation", "w", ARRAY_W, lambda v: wdc_deviation(v, 2, 0)),
+    ("r2wdc_tuple_value", "x3", ARRAY_X,
+     lambda v: r2wdc_tuple_value(COUNT_NET, 2, ARRAY_X, ARRAY_Y, ARRAY_Y, ARRAY_X, v, ARRAY_Y)),
+    ("rric_deviation", "a", COUNT_A, lambda v: rric_deviation(v, COUNT_NET, 2, 0)),
+    ("noise_coupling-a", "a", COUNT_A,
+     lambda v: noise_coupling(COUNT_NET, v, np.ones(10), 2, 0)),
+    ("noise_coupling-eta", "eta", np.ones(10),
+     lambda v: noise_coupling(COUNT_NET, COUNT_A, v, 2, 0)),
+    ("pattern_count_exact-w", "w", ARRAY_W[:8],
+     lambda v: pattern_count_exact(v, np.eye(30)[:, :2])),
+    ("pattern_count_exact-basis", "basis", np.eye(30)[:, :2],
+     lambda v: pattern_count_exact(ARRAY_W[:8], v)),
+    ("activation_gram_mc-r", "r", ARRAY_X,
+     lambda v: activation_gram_mc(v, ARRAY_Y, 4, 3, 0)),
+    ("activation_gram_mc-s", "s", ARRAY_Y,
+     lambda v: activation_gram_mc(ARRAY_X, v, 4, 3, 0)),
+    ("lambda_concentration-x", "x", ARRAY_X,
+     lambda v: lambda_concentration(COUNT_NET, v, ARRAY_Y)),
+    ("lambda_concentration-y", "y", ARRAY_Y,
+     lambda v: lambda_concentration(COUNT_NET, ARRAY_X, v)),
+    ("convexity_direction_check-x", "x", ARRAY_X,
+     lambda v: convexity_direction_check(COUNT_NET, v, ARRAY_Y)),
+    ("convexity_direction_check-y", "y", ARRAY_Y,
+     lambda v: convexity_direction_check(COUNT_NET, ARRAY_X, v)),
+    ("make_instance-x_star", "x_star", ARRAY_X,
+     lambda v: make_instance("DEN", COUNT_NET, x_star=v, seed=0)),
+    ("make_instance-eta", "eta", np.zeros(20),
+     lambda v: make_instance("DEN", COUNT_NET, eta=v, seed=0)),
+    ("Instance-a", "instance a", ARRAY_CS.a, lambda v: dataclasses.replace(ARRAY_CS, a=v)),
+    ("Instance-b", "instance b", ARRAY_CS.b, lambda v: dataclasses.replace(ARRAY_CS, b=v)),
+    ("Instance-m_obs", "instance m_obs", ARRAY_WIGNER.m_obs,
+     lambda v: dataclasses.replace(ARRAY_WIGNER, m_obs=v)),
+    ("solve-x0", "x0", ARRAY_X, _solve_from),
+]
+
+
+@pytest.mark.parametrize("what,good,call", [site[1:] for site in ARRAY_SITES],
+                         ids=[site[0] for site in ARRAY_SITES])
+def test_array_rule_at_every_entry_point(what, good, call):
+    # a NaN used to come back as a plausible number at several of these:
+    # wdc_deviation reported 0.29 for an all-NaN W
+    call(good)
+    bads = [np.stack((good, good)), "abc"]
+    for fill in (np.nan, np.inf):
+        bads.append(good.copy())
+        bads[-1].flat[0] = fill
+    for bad in bads:
+        with pytest.raises(ValidationError, match=f"^{re.escape(what)} "):
+            call(bad)
 
 
 def test_net_rejects_bad_weights():
