@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blas import one_blas_thread, set_blas_threads
+from .blas import blas_threads, one_blas_thread, set_blas_threads
 from .conditions import (ConditionReport, _csv_text, _write_text, lambda_concentration,
                          lipschitz_check, convexity_direction_check, log_piece_count_bounds,
                          norm_angle_report, r2wdc_deviation, wdc_deviation)
@@ -126,10 +126,26 @@ def _cell_dims(spec, value):
     return SWEEP_AXES[spec.sweep_axis].dims(spec.dims, value)
 
 
+# the last net a cell of this process used, keyed on (cell dims, net_seed);
+# run_experiment fills it before its pool forks and empties it on return
+_NET = {}
+
+
+def _cell_net(dims, net_seed):
+    """sample_gaussian_net(dims, net_seed), reused while the key repeats."""
+    key = (dims, net_seed)
+    net = _NET.get(key)
+    if net is None:
+        _NET.clear()  # one entry, so a width sweep holds one net at a time
+        net = _NET[key] = sample_gaussian_net(dims, net_seed)
+    return net
+
+
 def run_cell(spec, value, seed):
     """One (value, seed) cell; returns a row dict.  Deterministic in its
-    arguments only."""
-    net = sample_gaussian_net(_cell_dims(spec, value), spec.net_seed)
+    arguments only: the net is rebuilt from (cell dims, net_seed), or taken
+    from the process's one-entry reuse when the last cell had the same."""
+    net = _cell_net(_cell_dims(spec, value), spec.net_seed)
     given = {"m": spec.m, "sigma": spec.sigma, "eta_norm": spec.eta_norm,
              "n_samples": spec.n_samples} | SWEEP_AXES[spec.sweep_axis].instance(value)
     cfg = replace(spec.solver, seed=seed)
@@ -158,16 +174,27 @@ def run_experiment(spec, jobs=None):
     identical to the serial run because each cell is a pure function of
     (spec, value, seed).  Each worker runs one BLAS thread, so the workers
     do not contend for cores; the serial run keeps the caller's count.
+
+    The first cell's net is built here, before the pool forks, which also
+    imports numpy.random, and the OpenBLAS handle is resolved here too.
+    The workers inherit all three, so no first cell starts cold.  The net
+    is dropped on return.
     """
-    cells = sorted((float(v), s) for v in spec.sweep_values for s in spec.seeds)
     cpus = default_jobs()
-    jobs = max(1, min(cpus if jobs is None else int(jobs), len(cells), cpus))
-    if jobs == 1:
-        rows = [run_cell(spec, v, s) for v, s in cells]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=set_blas_threads, initargs=(1,)) as pool:
-            rows = list(pool.map(_star_args, [(spec, v, s) for v, s in cells]))
+    jobs = cpus if jobs is None else check_count(jobs, "jobs")
+    cells = sorted((float(v), s) for v in spec.sweep_values for s in spec.seeds)
+    jobs = min(jobs, len(cells), cpus)
+    try:
+        _cell_net(_cell_dims(spec, cells[0][0]), spec.net_seed)
+        if jobs == 1:
+            rows = [run_cell(spec, v, s) for v, s in cells]
+        else:
+            blas_threads()  # finds the OpenBLAS once, for every worker's initializer
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=jobs, initializer=set_blas_threads, initargs=(1,)) as pool:
+                rows = list(pool.map(_star_args, [(spec, v, s) for v, s in cells]))
+    finally:
+        _NET.clear()
 
     summary = []
     for v in sorted(set(c[0] for c in cells)):

@@ -216,8 +216,17 @@ def linear_path(net, x):
 
 
 def apply_masked_t(net, masks, w_vec):
-    """Matrix-free Lambda_d^T w for a fixed mask sequence."""
+    """Matrix-free Lambda_d^T w for a fixed mask sequence: masks[i] is the
+    boolean vector of layer i+1, as in LinearPath.  The masks are checked
+    by type and shape only, never entry by entry."""
     v = check_array(w_vec, "w_vec", (net.n_out,))
+    if len(masks) != net.depth:
+        raise ValidationError(f"expected {net.depth} masks, one per layer, got {len(masks)}")
+    for i, (m, n) in enumerate(zip(masks, net.dims[1:])):
+        if type(m) is not np.ndarray or m.dtype != np.bool_ or m.shape != (n,):
+            got = m.shape if isinstance(m, np.ndarray) else type(m).__name__
+            raise ValidationError(
+                f"mask {i + 1} must be a boolean vector of shape ({n},), got {got}")
     for w, m in zip(net.weights[::-1], masks[::-1]):
         v = w.T @ (m * v)
     return v
@@ -311,6 +320,8 @@ def contractive_example_dims(k, d, c_bar=2.0, alpha_floor=1.0):
         lo = base
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # lo and hi are adjacent floats: no step can move them
             if feasible(mid):
                 hi = mid
             else:

@@ -186,10 +186,21 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
     elif kind == "SPIKED_WISHART":
         n_samples = check_count(n_samples, "n_samples")
         u = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_U).standard_normal(n_samples)
-        z = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_Z).standard_normal((n_samples, n_out))
-        z *= sigma  # B = u y_star^T + sigma Z, built in place in z
-        for i in range(0, n_samples, _ROW_BLOCK):
-            z[i:i + _ROW_BLOCK] += np.outer(u[i:i + _ROW_BLOCK], y_star)
+        if sigma > 0.0:
+            z = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_Z).standard_normal((n_samples, n_out))
+            z *= sigma  # B = u y_star^T + sigma Z, built in place in z
+            for i in range(0, n_samples, _ROW_BLOCK):
+                z[i:i + _ROW_BLOCK] += np.outer(u[i:i + _ROW_BLOCK], y_star)
+        else:
+            # B = u y_star^T, with no Z drawn.  Where y_star_j > 0 the
+            # column is the drawn build's (adding the signed zero 0 Z_ij to
+            # u_i y_star_j changes nothing).  Where y_star_j = +0 (a relu
+            # zero) only the zeros' signs differ, and they reach M through
+            # z^T z alone, whose zero entries are +0 in both builds: here
+            # every product of such a zero is +0, and there a sum of zeros
+            # is -0 only if every term is.  The tests compare the bytes
+            # with the drawn build, n_samples = 1 included.
+            z = np.outer(u, y_star)
         raw = z.T @ z
         del z
         raw /= n_samples

@@ -4,12 +4,13 @@ import csv
 import io
 import math
 import os
+import sys
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from gpnet import blas, cli, net as gnet
+from gpnet import blas, cli, harness, net as gnet
 from gpnet.cli import main
 from gpnet.conditions import log_piece_count_bounds
 from gpnet.errors import InfeasibleError, ValidationError
@@ -270,6 +271,12 @@ def test_jobs_clamped_to_cells_and_cpus(monkeypatch):
     class SerialPool:
         def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            # the workers fork warm: the first cell's net is built, so
+            # numpy.random is imported, before the pool exists
+            assert list(harness._NET) == [(spec.dims, spec.net_seed)]
+            assert harness._NET[spec.dims, spec.net_seed] == sample_gaussian_net(
+                spec.dims, spec.net_seed)
+            assert "numpy.random" in sys.modules
             if found:
                 blas.set_blas_threads(2)
             initializer(*initargs)
@@ -289,13 +296,65 @@ def test_jobs_clamped_to_cells_and_cpus(monkeypatch):
     spec = small_spec(solver=SolverConfig(t_max=5))  # 4 cells
     with blas.one_blas_thread():  # puts the caller's count back
         serial = experiment_csv_text(run_experiment(spec, jobs=1)[0])
+        assert harness._NET == {}
         for jobs, want in ((10 ** 9, 3), (2, 2)):
             rows, _ = run_experiment(spec, jobs=jobs)
             assert sizes.pop() == want
             assert experiment_csv_text(rows) == serial
+            assert harness._NET == {}  # no net outlives the call
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         run_experiment(spec, jobs=10 ** 9)
     assert sizes == [4]
+    assert harness._NET == {}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(jobs, tmp_path, capsys):
+    # these used to run serially and exit 0; the library's rule is in COUNT_SITES
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "o.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                 "--jobs", jobs]) == 1
+    assert f"jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cell_net_reuse_holds_one_net():
+    try:
+        a = harness._cell_net((4, 40, 30), 2)
+        assert harness._cell_net((4, 40, 30), 2) is a
+        b = harness._cell_net((4, 25, 25), 2)
+        assert list(harness._NET) == [((4, 25, 25), 2)]
+        assert b == sample_gaussian_net((4, 25, 25), 2)
+        c = harness._cell_net((4, 25, 25), 3)
+        assert list(harness._NET) == [((4, 25, 25), 3)]
+        assert c == sample_gaussian_net((4, 25, 25), 3) and not c == b
+    finally:
+        harness._NET.clear()
+
+
+@pytest.mark.parametrize("over", [
+    # sigma = 0 cells skip the Wishart noise draw
+    dict(kind="SPIKED_WISHART", sweep_values=(0.1, 0.0, 0.05), dims=(4, 100, 200),
+         n_samples=200),
+    # every width needs its own net, so a reused one would show
+    dict(sweep_axis="width", sweep_values=(30, 20, 40)),
+])
+def test_parallel_equals_serial_equals_fresh_nets(over):
+    spec = small_spec(seeds=(0, 1, 2), solver=SolverConfig(c_step=1.0, t_max=150), **over)
+    fresh = []
+    for v in sorted(map(float, spec.sweep_values)):
+        for s in spec.seeds:
+            harness._NET.clear()
+            fresh.append(run_cell(spec, v, s))
+    harness._NET.clear()
+    serial, serial_summary = run_experiment(spec, jobs=1)
+    parallel, parallel_summary = run_experiment(spec, jobs=2)
+    assert experiment_csv_text(serial) == experiment_csv_text(parallel) \
+        == experiment_csv_text(fresh)
+    assert summary_csv_text(serial_summary) == summary_csv_text(parallel_summary)
+    assert not any(r["failed"] for r in serial)
 
 
 def test_experiment_csv_parses_back():

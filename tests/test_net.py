@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from gpnet import net as gnet
 from gpnet.errors import ValidationError
 from gpnet.cli import main
 from gpnet.conditions import (activation_gram_mc, convexity_direction_check,
@@ -104,11 +105,12 @@ COUNT_TRACE = solve(make_instance("DEN", COUNT_NET, seed=1), SolverConfig(t_max=
 COUNT_DEEP_NET = sample_gaussian_net((3, 10, 8, 6), 5)
 
 
-def _one_cell_sweep(seeds=(0,), net_seed=0):
-    """A one-cell DEN sigma sweep on (3, 8, 6), run serially."""
+def _one_cell_sweep(seeds=(0,), net_seed=0, jobs=None):
+    """A one-cell DEN sigma sweep on (3, 8, 6), run serially (one cell
+    takes one worker whatever jobs asks for)."""
     return run_experiment(ExperimentSpec(
         name="count", kind="DEN", sweep_axis="sigma", sweep_values=(0.0,), seeds=seeds,
-        dims=(3, 8, 6), net_seed=net_seed, solver=SolverConfig(t_max=2)))
+        dims=(3, 8, 6), net_seed=net_seed, solver=SolverConfig(t_max=2)), jobs=jobs)
 
 
 # (entry point, what its error names, least, the call as a function of one count)
@@ -140,6 +142,7 @@ COUNT_SITES = [
     ("contractive_example_dims-d", "recipe d", 2, lambda v: contractive_example_dims(4, v)),
     ("ExperimentSpec-seeds", "seed", 0, lambda v: _one_cell_sweep(seeds=(v,))),
     ("ExperimentSpec-net_seed", "net_seed", 0, lambda v: _one_cell_sweep(net_seed=v)),
+    ("run_experiment-jobs", "jobs", 1, lambda v: _one_cell_sweep(jobs=v)),
 ]
 
 
@@ -376,6 +379,23 @@ def test_matrix_free_apply_matches_dense():
                        rtol=1e-12, atol=1e-12)
 
 
+def test_matrix_free_apply_checks_its_masks():
+    net = sample_gaussian_net((4, 30, 20), seed=0)
+    masks = [o > 0.0 for o in forward(net, np.ones(4))[1:]]
+    w = np.ones(20)
+    apply_masked_t(net, tuple(masks), w)
+    bad = [masks[1:],                               # one short: used to return length 30
+           masks + masks[-1:],                      # one too many
+           [masks[0][:-1], masks[1]],               # short mask: used to be a numpy error
+           [masks[0], masks[0]],                    # the other layer's width
+           [masks[0].astype(float), masks[1]],      # not boolean
+           [masks[0], list(masks[1])],              # not an array
+           [masks[0], masks[1][:, None]]]           # not a vector
+    for given in bad:
+        with pytest.raises(ValidationError, match="mask"):
+            apply_masked_t(net, given, w)
+
+
 def test_net_io_roundtrip(tmp_path):
     net = sample_gaussian_net((4, 19, 7), seed=99)
     p = tmp_path / "net.gpn"
@@ -463,6 +483,47 @@ def test_recipe_k4_d3_frozen():
     need = 16.0 * 4 / (2.0 * math.log(2.0))
     ok = [n for n in range(2, 400) if n / math.log(n) >= need]
     assert min(ok) == 256
+
+
+def _reference_recipe_alpha(k, d, c_bar):
+    """The width scale as a full 200-step bisection finds it."""
+    base = max(1.0, 2.0 * math.log(c_bar * k) / d ** 2, math.log(math.e ** 2 * c_bar))
+
+    def feasible(alpha):
+        hidden = gnet._recipe_dims(k, d, c_bar, alpha)
+        return all(m >= 0.0 for ms in gnet._recipe_margins(k, d, c_bar, hidden)
+                   for m in ms)
+
+    hi = base
+    while not feasible(hi):
+        hi *= 2.0
+    lo = base
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    alpha = hi * (1.0 + 1e-9)
+    return alpha if feasible(alpha) else hi
+
+
+@pytest.mark.parametrize("k,d,c_bar", [(4, 3, 2.0), (1, 2, 0.5), (2, 5, 1.0),
+                                       (3, 3, 2.0), (5, 2, 0.5), (8, 4, 1.0)])
+def test_recipe_bisection_stops_where_the_full_one_settles(k, d, c_bar, monkeypatch):
+    alpha = _reference_recipe_alpha(k, d, c_bar)
+    calls = []
+    recipe_dims = gnet._recipe_dims
+    monkeypatch.setattr(gnet, "_recipe_dims", lambda *a: calls.append(a) or recipe_dims(*a))
+    rec = contractive_example_dims(k=k, d=d, c_bar=c_bar)
+    assert rec.alpha_escalated
+    assert rec.alpha == alpha
+    assert rec.dims == (k,) + recipe_dims(k, d, c_bar, alpha)
+    assert (rec.expansivity_margin, rec.width_margin) == gnet._recipe_margins(
+        k, d, c_bar, rec.dims[1:])
+    # the full bisection evaluates the widths 200 times; a float bisection
+    # between base and 2^t base settles after about 53 + t halvings
+    assert len(calls) < 100
 
 
 def test_recipe_checks_pass_for_various_inputs():

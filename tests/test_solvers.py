@@ -114,6 +114,35 @@ def test_wishart_in_place_build_matches_old_expression(sigma):
     assert inst.m_obs.tobytes() == ((raw + raw.T) / 2.0).tobytes()
 
 
+@pytest.mark.parametrize("dims,n_samples", [((6, 200, 400), 2000), ((4, 20, 30), 600),
+                                            ((3, 8, 6), 7), ((2, 5, 3), 1),
+                                            ((3, 10, 8, 6), 2)])
+def test_wishart_sigma_zero_draws_no_noise_and_keeps_bytes(dims, n_samples, monkeypatch):
+    # the reference draws Z, zeroes it and adds u y^T block by block, as the
+    # build did before sigma = 0 skipped the draw; signed zeros must match
+    net = sample_gaussian_net(dims, seed=2)
+    drawn = []
+    sub = solvers.sub_rng
+    monkeypatch.setattr(solvers, "sub_rng", lambda *a: drawn.append(a[1:]) or sub(*a))
+    for seed in range(3):
+        inst = make_instance("SPIKED_WISHART", net, sigma=0.0, n_samples=n_samples,
+                             seed=seed)
+        u = sub_rng(seed, DOMAIN_INSTANCE, solvers._SPIKE_U).standard_normal(n_samples)
+        z = sub_rng(seed, DOMAIN_INSTANCE, solvers._SPIKE_Z).standard_normal(
+            (n_samples, net.n_out))
+        z *= 0.0
+        for i in range(0, n_samples, solvers._ROW_BLOCK):
+            z[i:i + solvers._ROW_BLOCK] += np.outer(u[i:i + solvers._ROW_BLOCK],
+                                                    inst.y_star)
+        raw = z.T @ z
+        raw /= n_samples
+        raw[np.diag_indices(net.n_out)] -= 0.0
+        want = raw + raw.T
+        want /= 2.0
+        assert inst.m_obs.tobytes() == want.tobytes()
+    assert (DOMAIN_INSTANCE, solvers._SPIKE_Z) not in drawn
+
+
 def test_wigner_matrix_symmetric():
     net = small_net()
     inst = make_instance("SPIKED_WIGNER", net, sigma=0.3, seed=5)
