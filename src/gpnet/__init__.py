@@ -12,8 +12,7 @@ from .errors import DivergenceError, InfeasibleError, ValidationError
 from .geometry import (AngleProfile, DistortionMatrix, angle_between, angle_profile,
                        g_theta, q_lipschitz_gap, q_matrix, spectral_norm)
 from .harness import (ExperimentSpec, experiment_csv_text, parse_experiment_config,
-                      run_condition_suite, run_experiment, summary_csv_text,
-                      write_experiment_csvs)
+                      run_condition_suite, run_experiment, summary_csv_text)
 from .net import (DimsRecipe, GenerativeNet, LinearPath, apply_masked_t,
                   contractive_example_dims, forward, linear_path, load_net,
                   preactivations, sample_gaussian_net, save_net)

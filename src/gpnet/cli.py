@@ -13,9 +13,9 @@ import sys
 from .conditions import (_PATTERN_MAX_ROWS, _csv_text, _write_text, pattern_count_exact,
                          r2wdc_deviation, reports_csv_text, rric_deviation, wdc_deviation)
 from .errors import DivergenceError, InfeasibleError, ValidationError, check_count
-from .harness import (_parse_ints, _parse_recipe, parse_experiment_config,
-                      run_condition_suite, run_experiment, summary_path_for,
-                      write_experiment_csvs)
+from .harness import (_parse_ints, _parse_recipe, experiment_csv_text,
+                      parse_experiment_config, run_condition_suite, run_experiment,
+                      summary_csv_text, summary_path_for)
 from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
 from .rng import DOMAIN_SAMPLE, sub_rng
 from .solvers import KINDS, SolverConfig, make_instance, sensing_matrix, solve
@@ -98,9 +98,7 @@ def _cmd_solve(args):
           f"negations={len(tr.negations)} "
           f"rel_signal_err={tr.final_rel_signal_err!r} "
           f"rel_latent_err={tr.final_rel_latent_err!r}")
-    if args.out:
-        tr.to_csv(args.out, args.trace_stride)
-        print(f"wrote trace to {args.out}")
+    _write_out(args, tr.csv_text(args.trace_stride), "trace")
     return 0
 
 
@@ -182,7 +180,8 @@ def _cmd_experiment(args):
     if out is None:
         raise ValidationError("no output path: pass --out or set [output] path")
     rows, summary = run_experiment(spec, **_given(args, "jobs"))
-    write_experiment_csvs(rows, summary, out)
+    _write_text(out, experiment_csv_text(rows))
+    _write_text(summary_path_for(out), summary_csv_text(summary))
     failed = sum(r["failed"] for r in rows)
     print(f"{spec.name}: {len(rows)} cells, {failed} failed; "
           f"wrote {out} and {summary_path_for(out)}")

@@ -310,16 +310,10 @@ def noise_coupling(net, a, eta, samples, seed):
     samples = check_count(samples, "samples")
     n_eta = float(np.linalg.norm(eta))
     om = omega(net.dims, a.shape[0])
-    if n_eta == 0.0:
-        aux = {"inner_ratio_max": 0.0, "grad_ratio_max": 0.0, "omega": om}
-        return ConditionReport(kind="NOISE", layers=(0,), eps_by_layer=(0.0,),
-                               samples=samples, seed=int(seed), aux=aux,
-                               targets={"deviation": om, "inner_ratio_max": om,
-                                        "grad_ratio_max": om})
     at_eta = a.T @ eta
-    inner_max = 0.0
-    grad_max = 0.0
-    for j in range(samples):
+    inner_max = grad_max = 0.0
+    # a zero eta couples into nothing, so its maxima stay 0 with no sample drawn
+    for j in range(samples if n_eta > 0.0 else 0):
         rng = sub_rng(seed, DOMAIN_SAMPLE, j)
         x = rng.standard_normal(net.k)
         masks = [o > 0.0 for o in forward(net, x)[1:]]
@@ -347,12 +341,11 @@ class PatternCount:
     """Exact count of activation patterns of W over a latent subspace.
 
     patterns holds the realized masks (tuples of 0/1 over rows, sorted),
-    count = len(patterns).  comb_bound is sum_{j<=ell} C(m, j) and
-    log_bound = ell * log(e m / ell), the two standard upper levels.
+    count = len(patterns).  For the m rows of W over an ell-dimensional
+    subspace, comb_bound is sum_{j<=ell} C(m, j) and log_bound =
+    ell * log(e m / ell), the two standard upper levels.
     """
 
-    m: int
-    ell: int
     count: int
     comb_bound: int
     log_bound: float
@@ -469,9 +462,8 @@ def pattern_count_exact(w, basis):
     pats = _patterns_at(p, _witnesses(p))
 
     comb = sum(math.comb(m, j) for j in range(ell + 1))
-    return PatternCount(m=m, ell=ell, count=len(pats), comb_bound=comb,
-                        log_bound=ell * math.log(math.e * m / ell),
-                        patterns=tuple(sorted(pats)))
+    return PatternCount(count=len(pats), comb_bound=comb, patterns=tuple(sorted(pats)),
+                        log_bound=ell * math.log(math.e * m / ell))
 
 
 def log_piece_count_bounds(dims):

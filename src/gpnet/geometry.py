@@ -101,21 +101,16 @@ def angle_between(x, y):
 
 @dataclass(frozen=True)
 class DistortionMatrix:
-    """Q_{r,s} = a I + U^T K U together with the angle and the unit vectors
-    that framed it.
+    """Q_{r,s} = a I + U^T K U together with the angle that framed it.
 
     frame holds the rows u1, u2 of U (2 x n) and core the 2 x 2 block K;
     when Q is a multiple of the identity, frame is 0 x n and core 0 x 0.
-    r_hat and s_hat are None when either input was the zero vector (the
-    convention sets Q = 0 there).
     """
 
     theta: float
     a: float
     frame: np.ndarray
     core: np.ndarray
-    r_hat: np.ndarray | None
-    s_hat: np.ndarray | None
 
     def apply(self, v):
         """Q v in O(n), without forming Q."""
@@ -136,10 +131,9 @@ class DistortionMatrix:
             + (math.sin(theta) / (2.0 * math.pi)) * m
 
 
-def _isotropic(theta, a, n, r_hat, s_hat):
+def _isotropic(theta, a, n):
     """DistortionMatrix of Q = a I, which needs no frame."""
-    return DistortionMatrix(theta=theta, a=a, frame=np.zeros((0, n)),
-                            core=np.zeros((0, 0)), r_hat=r_hat, s_hat=s_hat)
+    return DistortionMatrix(theta=theta, a=a, frame=np.zeros((0, n)), core=np.zeros((0, 0)))
 
 
 def q_matrix(r, s):
@@ -158,14 +152,14 @@ def q_matrix(r, s):
     nr = np.linalg.norm(r)
     ns = np.linalg.norm(s)
     if nr == 0.0 or ns == 0.0:
-        return _isotropic(0.0, 0.0, n, None, None)
+        return _isotropic(0.0, 0.0, n)
     u1 = r / nr
     s_hat = s / ns
     c = float(np.dot(u1, s_hat))
     c = min(1.0, max(-1.0, c))
     theta = math.acos(c)
     if theta < _TINY_ANGLE:
-        return _isotropic(0.0, 0.5, n, u1, s_hat)
+        return _isotropic(0.0, 0.5, n)
     w = s_hat - c * u1
     nw = np.linalg.norm(w)
     if nw <= _COLLINEAR_TOL:
@@ -173,13 +167,12 @@ def q_matrix(r, s):
         # than ~1e-8, so the zero-angle test above can miss the parallel
         # case and the cosine sign has to split the two limits
         if c > 0.0:
-            return _isotropic(0.0, 0.5, n, u1, s_hat)
-        return _isotropic(math.pi, 0.0, n, u1, s_hat)
+            return _isotropic(0.0, 0.5, n)
+        return _isotropic(math.pi, 0.0, n)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     core = (sin_t / (2.0 * math.pi)) * np.array([[cos_t, sin_t], [sin_t, -cos_t]])
     return DistortionMatrix(theta=theta, a=(math.pi - theta) / (2.0 * math.pi),
-                            frame=np.stack((u1, w / nw)), core=core,
-                            r_hat=u1, s_hat=s_hat)
+                            frame=np.stack((u1, w / nw)), core=core)
 
 
 def g_theta(theta):
@@ -208,9 +201,6 @@ class AngleProfile:
     for a depth-d net through that pair.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    depth: int
     theta_bar: tuple
     h_tilde: np.ndarray
 
@@ -248,8 +238,7 @@ def angle_profile(x, y, depth):
         coeff += term
 
     h = (shrink * y + coeff * ny * (x / nx)) / 2.0 ** depth
-    return AngleProfile(x=x.copy(), y=y.copy(), depth=depth,
-                        theta_bar=tuple(tb), h_tilde=h)
+    return AngleProfile(theta_bar=tuple(tb), h_tilde=h)
 
 
 def q_lipschitz_gap(r, r_t, s, s_t):

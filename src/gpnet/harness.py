@@ -34,7 +34,9 @@ Sweep semantics (one SWEEP_AXES row each): m and sigma replace the
 instance parameter; width swaps every hidden width for the value; depth
 rebuilds dims as the first hidden width repeated value times.  Values
 are read literally, % included, and repeated sweep values or seeds are
-rejected.  Reported errors are relative to the planted latent and
+rejected.  So are an unknown section or key, a [net] with both or
+neither of dims and recipe, and an m (key or sweep) for a kind other
+than CS and PR.  Reported errors are relative to the planted latent and
 signal norms.
 """
 
@@ -50,13 +52,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .blas import blas_threads, one_blas_thread, set_blas_threads
-from .conditions import (ConditionReport, _csv_text, _write_text, lambda_concentration,
+from .conditions import (ConditionReport, _csv_text, lambda_concentration,
                          lipschitz_check, convexity_direction_check, log_piece_count_bounds,
                          norm_angle_report, r2wdc_deviation, wdc_deviation)
 from .errors import DivergenceError, ValidationError, check_count
 from .net import check_dims, contractive_example_dims, sample_gaussian_net
 from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
-from .solvers import KINDS, SolverConfig, make_instance, solve
+from .solvers import KINDS, SENSING_KINDS, SolverConfig, make_instance, solve
 
 
 class _Axis(NamedTuple):
@@ -120,6 +122,8 @@ class ExperimentSpec:
                 or len(set(self.seeds)) < len(self.seeds):
             raise ValidationError("sweep values and seeds must not repeat")
         object.__setattr__(self, "dims", check_dims(self.dims))
+        if self.kind not in SENSING_KINDS and (self.m is not None or self.sweep_axis == "m"):
+            raise ValidationError(f"m is only for the kinds {SENSING_KINDS}, not {self.kind}")
 
 
 def _cell_dims(spec, value):
@@ -169,18 +173,18 @@ def _star_args(args):
 def run_experiment(spec, jobs=None):
     """Run the sweep grid; returns (rows, summary) sorted by (value, seed).
 
-    jobs (default default_jobs(), one per CPU) > 1 fans cells over a
-    process pool of at most one worker per cell and per CPU; results are
-    identical to the serial run because each cell is a pure function of
-    (spec, value, seed).  Each worker runs one BLAS thread, so the workers
-    do not contend for cores; the serial run keeps the caller's count.
+    jobs (default one per CPU) > 1 fans cells over a process pool of at
+    most one worker per cell and per CPU; results are identical to the
+    serial run because each cell is a pure function of (spec, value,
+    seed).  Each worker runs one BLAS thread, so the workers do not
+    contend for cores; the serial run keeps the caller's count.
 
     The first cell's net is built here, before the pool forks, which also
     imports numpy.random, and the OpenBLAS handle is resolved here too.
     The workers inherit all three, so no first cell starts cold.  The net
     is dropped on return.
     """
-    cpus = default_jobs()
+    cpus = os.cpu_count() or 1
     jobs = cpus if jobs is None else check_count(jobs, "jobs")
     cells = sorted((float(v), s) for v in spec.sweep_values for s in spec.seeds)
     jobs = min(jobs, len(cells), cpus)
@@ -230,11 +234,6 @@ def summary_path_for(path):
     return path + "_summary"
 
 
-def write_experiment_csvs(rows, summary, path):
-    _write_text(path, experiment_csv_text(rows))
-    _write_text(summary_path_for(path), summary_csv_text(summary))
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -253,7 +252,15 @@ def _number(text, where, kind=float):
     return value
 
 
-def _ini_fields(cp, section, **kinds):
+# the keys each section may give; [instance] and [solver] map theirs to a type
+_INSTANCE_KEYS = {"m": int, "sigma": float, "eta_norm": float, "n_samples": int}
+_SOLVER_KEYS = {"c_step": float, "t_max": int, "rel_step_tol": float}
+_INI_KEYS = {"experiment": {"name", "kind", "sweep", "values", "seeds"},
+             "net": {"dims", "recipe", "seed"}, "output": {"path"},
+             "instance": _INSTANCE_KEYS, "solver": _SOLVER_KEYS}
+
+
+def _ini_fields(cp, section, kinds):
     """{key: value} for each key of kinds that [section] of cp gives, each
     value read by _number as that key's kind (int or float)."""
     given = cp[section] if section in cp else {}
@@ -313,6 +320,15 @@ def parse_experiment_config(text):
         cp.read_string(text)
     except configparser.Error as e:
         raise ValidationError(f"bad config: {e}") from None
+    if cp.defaults():  # [DEFAULT] keys would be copied into every section
+        raise ValidationError(f"unknown key [DEFAULT] {min(cp.defaults())}")
+    for section in cp.sections():
+        if section not in _INI_KEYS:
+            raise ValidationError(f"unknown config section [{section}]")
+        for key in cp[section]:
+            if key not in _INI_KEYS[section]:
+                raise ValidationError(f"unknown key [{section}] {key}; the section takes "
+                                      f"{', '.join(sorted(_INI_KEYS[section]))}")
     if "experiment" not in cp:
         raise ValidationError("config needs an [experiment] section")
     exp = cp["experiment"]
@@ -323,17 +339,15 @@ def parse_experiment_config(text):
     if "net" not in cp:
         raise ValidationError("config needs a [net] section")
     netsec = cp["net"]
+    if ("dims" in netsec) == ("recipe" in netsec):
+        raise ValidationError("[net] takes exactly one of dims and recipe")
     if "dims" in netsec:
         dims = _parse_ints(netsec["dims"], "[net] dims")
-    elif "recipe" in netsec:
-        dims = _parse_recipe(netsec["recipe"]).dims
     else:
-        raise ValidationError("[net] needs dims or recipe")
+        dims = _parse_recipe(netsec["recipe"]).dims
 
-    solver = SolverConfig(**_ini_fields(cp, "solver", c_step=float, t_max=int,
-                                        rel_step_tol=float))
-    given = _ini_fields(cp, "instance", m=int, sigma=float, eta_norm=float,
-                        n_samples=int)
+    solver = SolverConfig(**_ini_fields(cp, "solver", _SOLVER_KEYS))
+    given = _ini_fields(cp, "instance", _INSTANCE_KEYS)
     if "seed" in netsec:
         given["net_seed"] = _number(netsec["seed"], "[net] seed", int)
 
@@ -432,7 +446,3 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
         headline="log_piece_bound", samples=0, seed=int(seed),
         per_layer=per_layer, aux=aux))
     return reports
-
-
-def default_jobs():
-    return os.cpu_count() or 1

@@ -151,7 +151,6 @@ class LinearPath:
     full-depth Lambda_d.
     """
 
-    x: np.ndarray
     masks: tuple
     mats: tuple
 
@@ -211,8 +210,7 @@ def linear_path(net, x):
         m = z > 0.0
         masks.append(_freeze(m))
         mats.append(m[:, None] * (w @ mats[-1]))
-    return LinearPath(x=_freeze(x.copy()), masks=tuple(masks),
-                      mats=tuple(_freeze(m) for m in mats))
+    return LinearPath(masks=tuple(masks), mats=tuple(_freeze(m) for m in mats))
 
 
 def apply_masked_t(net, masks, w_vec):
@@ -248,10 +246,7 @@ class DimsRecipe:
     n_i = 1).  Both tuples are nonnegative by construction.
     """
 
-    k: int
     d: int
-    c_bar: float
-    alpha_floor: float
     alpha: float
     alpha_escalated: bool
     dims: tuple
@@ -336,10 +331,8 @@ def contractive_example_dims(k, d, c_bar=2.0, alpha_floor=1.0):
     em, wm = _recipe_margins(k, d, c_bar, hidden)
     dims = (k,) + hidden
     contractive = tuple(i for i in range(1, d + 1) if dims[i] <= dims[i - 1])
-    return DimsRecipe(k=k, d=d, c_bar=c_bar, alpha_floor=alpha_floor,
-                      alpha=alpha, alpha_escalated=escalated, dims=dims,
-                      contractive_layers=contractive,
-                      expansivity_margin=em, width_margin=wm)
+    return DimsRecipe(d=d, alpha=alpha, alpha_escalated=escalated, dims=dims,
+                      contractive_layers=contractive, expansivity_margin=em, width_margin=wm)
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergenceError, ValidationError, check_array, check_count
-from .conditions import _csv_text, _write_text
+from .conditions import _csv_text
 from .net import GenerativeNet, _fields_eq, _gamma, apply_masked_t, forward
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 
 KINDS = ("CS", "PR", "DEN", "SPIKED_WISHART", "SPIKED_WIGNER")
+SENSING_KINDS = ("CS", "PR")  # the kinds with a sensing matrix A, so with an m
 
 _X_STAR, _A_MAT, _ETA, _SPIKE_U, _SPIKE_Z, _SPIKE_H = range(6)
 _ROW_BLOCK = 256  # rows of B per u y_star^T block, so no N x n_out temporary
@@ -66,8 +67,8 @@ class Instance:
     """One recovery problem: model kind, net, planted signal and data.
 
     Construction checks what make_instance would build: a known kind,
-    a finite sigma >= 0, finite arrays, and shapes that fit the net and
-    the kind (eta may be None).  Equality compares the arrays by value.
+    finite arrays, and shapes that fit the net and the kind (eta may be
+    None).  Equality compares the arrays by value.
     """
 
     kind: str
@@ -78,9 +79,6 @@ class Instance:
     b: np.ndarray | None = None
     m_obs: np.ndarray | None = None
     eta: np.ndarray | None = None
-    sigma: float = 0.0
-    n_samples: int | None = None
-    seed: int = 0
 
     __eq__ = _fields_eq
 
@@ -88,10 +86,7 @@ class Instance:
         kind, n_out = self.kind, self.net.n_out
         if kind not in KINDS:
             raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValidationError(f"instance sigma must be finite and nonnegative, "
-                                  f"got {self.sigma!r}")
-        if kind in ("CS", "PR"):
+        if kind in SENSING_KINDS:
             m = len(check_array(self.a, "instance a", (None, n_out)))
             if not m:
                 raise ValidationError("instance a needs at least one row")
@@ -129,16 +124,18 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
     """Build an Instance, drawing whatever was not supplied.
 
     x_star defaults to a uniform unit latent.  CS and PR need m (rows of
-    the N(0, 1/m) sensing matrix); the spiked kinds need n_samples for
-    the Wishart row count (ignored for Wigner).  Noise: pass eta
-    directly, or eta_norm for a random direction of exactly that norm,
-    or sigma for i.i.d. N(0, sigma^2) entries; for the spiked kinds
-    sigma scales the matrix noise.  Component draws use fixed
-    sub-streams of seed, so e.g. the sensing matrix does not change when
-    a different x_star is provided.
+    the N(0, 1/m) sensing matrix), and the other kinds reject it; the
+    spiked kinds need n_samples for the Wishart row count (ignored for
+    Wigner).  Noise: pass eta directly, or eta_norm for a random
+    direction of exactly that norm, or sigma for i.i.d. N(0, sigma^2)
+    entries; for the spiked kinds sigma scales the matrix noise.
+    Component draws use fixed sub-streams of seed, so e.g. the sensing
+    matrix does not change when a different x_star is provided.
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if m is not None and kind not in SENSING_KINDS:
+        raise ValidationError(f"m is only for the kinds {SENSING_KINDS}, not {kind}")
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValidationError("sigma must be finite and nonnegative")
@@ -155,7 +152,7 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
     m_obs = None
     n_out = net.n_out
 
-    if kind in ("CS", "PR"):
+    if kind in SENSING_KINDS:
         a = sensing_matrix(m, n_out, seed)
         noise_dim = a.shape[0]
     elif kind == "DEN":
@@ -216,8 +213,7 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
         b = None
 
     return Instance(kind=kind, net=net, x_star=x_star, y_star=y_star, a=a, b=b,
-                    m_obs=m_obs, eta=eta, sigma=sigma, n_samples=n_samples,
-                    seed=int(seed))
+                    m_obs=m_obs, eta=eta)
 
 
 class _Outer(NamedTuple):
@@ -452,8 +448,6 @@ class SolveTrace:
     stop_reason: str
     final_x: np.ndarray
     final_f: float
-    final_latent_err: float
-    final_signal_err: float
     final_rel_latent_err: float
     final_rel_signal_err: float
 
@@ -465,9 +459,6 @@ class SolveTrace:
         rows = list(zip(*(c.tolist() for c in cols)))
         kept = [r for r in rows[:-1] if r[0] % stride == 0] + rows[-1:]
         return _csv_text(("iter", "f", "latent_err", "signal_err", "negated"), kept)
-
-    def to_csv(self, path, stride=1):
-        _write_text(path, self.csv_text(stride))
 
 
 def _start_point(inst, cfg):
@@ -614,10 +605,7 @@ def solve(inst, cfg):
     return SolveTrace(
         iters=arr[:, 0].astype(np.int64), f=arr[:, 1], latent_err=arr[:, 2],
         signal_err=arr[:, 3], negated=arr[:, 4].astype(np.int8),
-        negations=tuple(negations), n_steps=steps, sign_checks=sign_checks,
-        alpha=alpha,
-        contraction=contraction, stop_reason=stop_reason, final_x=x,
-        final_f=ev[0], final_latent_err=float(arr[-1, 2]),
-        final_signal_err=float(arr[-1, 3]),
+        negations=tuple(negations), n_steps=steps, sign_checks=sign_checks, alpha=alpha,
+        contraction=contraction, stop_reason=stop_reason, final_x=x, final_f=ev[0],
         final_rel_latent_err=float(arr[-1, 2]) / ns if ns > 0 else float("nan"),
         final_rel_signal_err=float(arr[-1, 3]) / ny if ny > 0 else float("nan"))

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import re
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from gpnet.harness import (ExperimentSpec, _cell_dims, experiment_csv_text,
                            run_condition_suite, run_experiment,
                            summary_csv_text, summary_path_for)
 from gpnet.net import contractive_example_dims, load_net, sample_gaussian_net
-from gpnet.solvers import SolverConfig
+from gpnet.solvers import SolverConfig, make_instance
 
 
 CONFIG = """
@@ -107,6 +108,71 @@ def test_config_recipe_dims():
 def test_config_rejects_malformed(mangle):
     with pytest.raises(ValidationError):
         parse_experiment_config(mangle(CONFIG))
+
+
+# a typo must not leave its option at the default (tmax would keep t_max = 1000)
+UNKNOWN_KEYS = [
+    ("t_max = 300", "tmax = 8000", "[solver] tmax"),
+    ("eta_norm = 0.1", "eta_norm = 0.1\nsigmaa = 3", "[instance] sigmaa"),
+    ("seed = 11", "seed = 11\nwidth = 40", "[net] width"),
+    ("seeds = 0:3", "seeds = 0:3\nseed = 4", "[experiment] seed"),
+    ("path = smoke.csv", "path = smoke.csv\nout = x.csv", "[output] out"),
+    ("[solver]", "[solvers]", "[solvers]"),
+    ("[experiment]", "[DEFAULT]\nt_max = 8000\n[experiment]", "[DEFAULT] t_max"),
+]
+
+
+@pytest.mark.parametrize("old,new,where", UNKNOWN_KEYS, ids=[
+    w.strip("[]").replace("] ", "-") for *_, w in UNKNOWN_KEYS])
+def test_config_rejects_unknown_sections_and_keys(old, new, where):
+    assert old in CONFIG
+    with pytest.raises(ValidationError, match=r"^unknown .*" + re.escape(where)):
+        parse_experiment_config(CONFIG.replace(old, new, 1))
+
+
+def test_cli_rejects_unknown_config_key_before_running(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(CONFIG.replace("t_max = 300", "tmax = 8000"))
+    out = tmp_path / "o.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown key [solver] tmax;")
+    assert not out.exists()
+
+
+def test_config_net_takes_dims_or_recipe_not_both():
+    # neither may silently win over the other
+    with pytest.raises(ValidationError, match=r"exactly one of dims and recipe"):
+        parse_experiment_config(CONFIG.replace("seed = 11", "seed = 11\nrecipe = k=4 d=3"))
+
+
+def test_spec_rejects_m_for_kinds_without_sensing_matrix():
+    for kind in ("DEN", "SPIKED_WISHART", "SPIKED_WIGNER"):
+        for over in (dict(sweep_axis="m", sweep_values=(10, 20)), dict(m=50)):
+            with pytest.raises(ValidationError, match="m is only for"):
+                small_spec(kind=kind, **over)
+    for kind in ("CS", "PR"):
+        assert small_spec(kind=kind, m=50).m == 50
+
+
+def test_config_rejects_m_sweep_for_den():
+    # DEN has no sensing matrix, so each m value would rerun the same cells
+    text = CONFIG.replace("kind = CS", "kind = DEN").replace(
+        "values = 100, 200", "values = 10, 20").replace("seeds = 0:3", "seeds = 0:2")
+    with pytest.raises(ValidationError, match="m is only for"):
+        parse_experiment_config(text)
+
+
+def test_cli_solve_rejects_m_for_den(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="m is only for"):
+        make_instance("DEN", sample_gaussian_net((4, 20, 10), 0), m=50)
+    out = tmp_path / "trace.csv"
+    assert main(["solve", "--dims", "4,20,10", "--kind", "DEN", "--m", "50",
+                 "--t-max", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: m is only for")
+    assert not out.exists()
 
 
 BAD_RECIPES = ("k=abc d=3", "k=inf d=3", "k=nan d=3", "k=4.7 d=3", "k=4 d=3.5",

@@ -773,7 +773,7 @@ def test_wigner_recovery_small_noise():
     assert tr.final_rel_signal_err <= 0.05
 
 
-def test_trace_csv_roundtrip(tmp_path):
+def test_trace_csv_roundtrip():
     net = small_net()
     inst = make_instance("DEN", net, seed=4)
     tr = solve(inst, SolverConfig(t_max=5, seed=4))
@@ -788,25 +788,22 @@ def test_trace_csv_roundtrip(tmp_path):
     assert tr.csv_text(5) == "".join(lines[:2] + lines[-1:])
     with pytest.raises(ValidationError):
         tr.csv_text(0)
-    p = tmp_path / "trace.csv"
-    tr.to_csv(p)
-    assert p.read_text() == text
     # rerun is byte-identical
     tr2 = solve(inst, SolverConfig(t_max=5, seed=4))
     assert tr2.csv_text() == text
 
 
-# The ids below keep the names they had when these checks ran on loading an
-# instance file; the checks now run in Instance.__post_init__.  A rename can
-# follow in a later change, at most 10 ids at a time.
+# Instance.__post_init__ runs these checks.  The shapes_unfit_for_kind ids
+# keep the name they had when the checks ran on loading an instance file; a
+# rename can follow in a later change.
 
-def test_instance_load_rejects_wrong_latent_length():
+def test_instance_rejects_wrong_latent_length():
     inst = make_instance("DEN", small_net(), seed=0)
     with pytest.raises(ValidationError, match="x_star"):
         dataclasses.replace(inst, x_star=np.ones(6))
 
 
-def test_instance_load_rejects_net_with_other_output_width():
+def test_instance_rejects_net_with_other_output_width():
     # a net of another n_out used to reach solve and fail there with a bare
     # numpy matmul error
     inst = make_instance("CS", small_net(), m=6, seed=0)
@@ -831,18 +828,15 @@ def test_instance_load_rejects_shapes_unfit_for_kind(kind, kwargs, field, bad):
         dataclasses.replace(inst, **{field: bad})
 
 
-def test_instance_load_accepts_missing_eta():
+def test_instance_accepts_missing_eta():
     inst = make_instance("CS", small_net(), m=6, seed=0)
     assert dataclasses.replace(inst, eta=None).eta is None
 
 
-@pytest.mark.parametrize("field", ["x_star", "a", "b", "eta", "sigma"])
-def test_instance_load_rejects_non_finite_values(field):
+@pytest.mark.parametrize("field", ["x_star", "a", "b", "eta"])
+def test_instance_rejects_non_finite_values(field):
     inst = make_instance("CS", small_net(), m=6, sigma=0.1, seed=0)
-    if field == "sigma":
-        bad = math.nan
-    else:
-        bad = np.array(getattr(inst, field))
-        bad.flat[-1] = np.inf
+    bad = np.array(getattr(inst, field))
+    bad.flat[-1] = np.inf
     with pytest.raises(ValidationError, match="finite"):
         dataclasses.replace(inst, **{field: bad})
