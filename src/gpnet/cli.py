@@ -18,7 +18,8 @@ from .harness import (_parse_ints, _parse_recipe, experiment_csv_text,
                       summary_csv_text, summary_path_for)
 from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
 from .rng import DOMAIN_SAMPLE, sub_rng
-from .solvers import KINDS, SolverConfig, make_instance, sensing_matrix, solve
+from .solvers import (KINDS, SolverConfig, _instance_row, make_instance,
+                      sensing_matrix, solve)
 
 _PATTERN_MAX_COLS = 10 ** 5  # a 20 x 10^5 draw is 16 MB
 
@@ -88,9 +89,12 @@ def _cmd_recipe(args):
 
 def _cmd_solve(args):
     check_count(args.trace_stride, "--trace-stride")
+    given = _given(args, "m", "sigma", "eta_norm", "n_samples")
+    for name in _instance_row(args.kind, given).needs:
+        if name not in given:
+            raise ValidationError(f"--kind {args.kind} needs --{name.replace('_', '-')}")
     net, _ = _net_from_args(args)
-    inst = make_instance(args.kind, net, seed=args.seed,
-                         **_given(args, "m", "sigma", "eta_norm", "n_samples"))
+    inst = make_instance(args.kind, net, seed=args.seed, **given)
     cfg = SolverConfig(seed=args.seed,
                        **_given(args, "c_step", "t_max", "rel_step_tol"))
     tr = solve(inst, cfg)

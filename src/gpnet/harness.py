@@ -19,7 +19,7 @@ Config files use INI syntax:
     dims = 8, 250, 600       ; or recipe = k=4 d=3 c_bar=2 alpha_floor=1
     seed = 11
 
-    [instance]               ; any of m, sigma, eta_norm, n_samples
+    [instance]               ; those of m, sigma, eta_norm, n_samples the kind takes
     m = 150
     eta_norm = 0.1
 
@@ -35,8 +35,9 @@ instance parameter; width swaps every hidden width for the value; depth
 rebuilds dims as the first hidden width repeated value times.  Values
 are read literally, % included, and repeated sweep values or seeds are
 rejected.  So are an unknown section or key, a [net] with both or
-neither of dims and recipe, and an m (key or sweep) for a kind other
-than CS and PR.  Reported errors are relative to the planted latent and
+neither of dims and recipe, an instance argument (key or sweep) that
+the kind does not take, and two noise sources (a sigma sweep over an
+eta_norm).  Reported errors are relative to the planted latent and
 signal norms.
 """
 
@@ -58,7 +59,7 @@ from .conditions import (ConditionReport, _csv_text, lambda_concentration,
 from .errors import DivergenceError, ValidationError, check_count
 from .net import check_dims, contractive_example_dims, sample_gaussian_net
 from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
-from .solvers import KINDS, SENSING_KINDS, SolverConfig, make_instance, solve
+from .solvers import SolverConfig, _instance_row, make_instance, solve
 
 
 class _Axis(NamedTuple):
@@ -104,8 +105,6 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown kind {self.kind!r}")
         axis = SWEEP_AXES.get(self.sweep_axis)
         if axis is None:
             raise ValidationError(f"sweep must be one of {tuple(SWEEP_AXES)}")
@@ -122,12 +121,18 @@ class ExperimentSpec:
                 or len(set(self.seeds)) < len(self.seeds):
             raise ValidationError("sweep values and seeds must not repeat")
         object.__setattr__(self, "dims", check_dims(self.dims))
-        if self.kind not in SENSING_KINDS and (self.m is not None or self.sweep_axis == "m"):
-            raise ValidationError(f"m is only for the kinds {SENSING_KINDS}, not {self.kind}")
+        for v in self.sweep_values:  # checks the kind, and each cell's arguments
+            _instance_row(self.kind, _instance_args(self, v))
 
 
 def _cell_dims(spec, value):
     return SWEEP_AXES[spec.sweep_axis].dims(spec.dims, value)
+
+
+def _instance_args(spec, value):
+    """The make_instance arguments of the cells at the sweep value."""
+    return {"m": spec.m, "sigma": spec.sigma, "eta_norm": spec.eta_norm,
+            "n_samples": spec.n_samples} | SWEEP_AXES[spec.sweep_axis].instance(value)
 
 
 # the last net a cell of this process used, keyed on (cell dims, net_seed);
@@ -150,11 +155,9 @@ def run_cell(spec, value, seed):
     arguments only: the net is rebuilt from (cell dims, net_seed), or taken
     from the process's one-entry reuse when the last cell had the same."""
     net = _cell_net(_cell_dims(spec, value), spec.net_seed)
-    given = {"m": spec.m, "sigma": spec.sigma, "eta_norm": spec.eta_norm,
-             "n_samples": spec.n_samples} | SWEEP_AXES[spec.sweep_axis].instance(value)
     cfg = replace(spec.solver, seed=seed)
     try:
-        inst = make_instance(spec.kind, net, seed=seed, **given)
+        inst = make_instance(spec.kind, net, seed=seed, **_instance_args(spec, value))
         tr = solve(inst, cfg)
     except DivergenceError as e:
         return {"sweep_value": value, "seed": seed,
@@ -181,7 +184,9 @@ def run_experiment(spec, jobs=None):
 
     The first cell's net is built here, before the pool forks, which also
     imports numpy.random, and the OpenBLAS handle is resolved here too.
-    The workers inherit all three, so no first cell starts cold.  The net
+    The workers inherit all three, so no first cell starts cold.  The pool
+    asks for fork wherever the platform has it, whatever the default start
+    method; under another one the rows are the same, only colder.  The net
     is dropped on return.
     """
     cpus = os.cpu_count() or 1
@@ -194,8 +199,12 @@ def run_experiment(spec, jobs=None):
             rows = [run_cell(spec, v, s) for v, s in cells]
         else:
             blas_threads()  # finds the OpenBLAS once, for every worker's initializer
+            # imported here, as the pool itself is: a serial run loads no multiprocessing
+            import multiprocessing
+            start = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
             with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=jobs, initializer=set_blas_threads, initargs=(1,)) as pool:
+                    max_workers=jobs, initializer=set_blas_threads, initargs=(1,),
+                    mp_context=multiprocessing.get_context(start)) as pool:
                 rows = list(pool.map(_star_args, [(spec, v, s) for v, s in cells]))
     finally:
         _NET.clear()

@@ -29,10 +29,11 @@ settled in x_star's basin, where f(x) is small while f(-x) stays of
 order one, and it never changes a decision, so the trace bytes are those
 of the loop that always sweeps.
 
-One table row per kind maps G(x) = g to its residual, loss and outer
-gradient w (the subgradient is Lambda_x^T w), and names its no-flip
-certificate.  The spiked rows never form the n_out x n_out residual
-M - g g^T: one matvec gives M g, and
+One table row per kind (_ROWS) holds what make_instance takes and builds
+for it, and maps G(x) = g to its residual, loss and outer gradient w (the
+subgradient is Lambda_x^T w) and its no-flip certificate.  The spiked
+rows never form the n_out x n_out residual M - g g^T: one matvec gives
+M g, and
 
     f = (|M|_F^2 - 2 g^T M g + |g|^4) / 2,    w = -2 (M g - |g|^2 g),
 
@@ -44,7 +45,7 @@ the residual itself and are exactly 0 there.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 import math
 from typing import NamedTuple
 
@@ -55,10 +56,8 @@ from .conditions import _csv_text
 from .net import GenerativeNet, _fields_eq, _gamma, apply_masked_t, forward
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 
-KINDS = ("CS", "PR", "DEN", "SPIKED_WISHART", "SPIKED_WIGNER")
-SENSING_KINDS = ("CS", "PR")  # the kinds with a sensing matrix A, so with an m
-
 _X_STAR, _A_MAT, _ETA, _SPIKE_U, _SPIKE_Z, _SPIKE_H = range(6)
+_NOISE = ("eta", "eta_norm", "sigma")  # the noise sources; an instance takes one
 _ROW_BLOCK = 256  # rows of B per u y_star^T block, so no N x n_out temporary
 
 
@@ -83,27 +82,23 @@ class Instance:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        kind, n_out = self.kind, self.net.n_out
-        if kind not in KINDS:
-            raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
-        if kind in SENSING_KINDS:
-            m = len(check_array(self.a, "instance a", (None, n_out)))
-            if not m:
+        kind, size = self.kind, {"n": self.net.n_out, "k": self.net.k}
+        row = _instance_row(kind, {})
+        if "m" in row.needs:  # the rows of the sensing matrix A
+            size["m"] = len(check_array(self.a, "instance a", (None, size["n"])))
+            if not size["m"]:
                 raise ValidationError("instance a needs at least one row")
-            want = {"a": (m, n_out), "b": (m,), "m_obs": None, "eta": (m,)}
-        elif kind == "DEN":
-            want = {"a": None, "b": (n_out,), "m_obs": None, "eta": (n_out,)}
-        else:
-            want = {"a": None, "b": None, "m_obs": (n_out, n_out), "eta": None}
-        want |= {"x_star": (self.net.k,), "y_star": (n_out,)}
-        for name, shape in want.items():
+        want = dict.fromkeys(("a", "b", "m_obs", "eta")) | row.shapes \
+            | {"x_star": ("k",), "y_star": ("n",)}
+        for name, dims in want.items():
             arr = getattr(self, name)
             # eta is optional: an Instance built by hand may carry none
-            if arr is None and (shape is None or name == "eta"):
+            if arr is None and (dims is None or name == "eta"):
                 continue
-            if shape is None:
+            if dims is None:
                 raise ValidationError(f"instance {name} must be None for kind {kind}")
-            object.__setattr__(self, name, check_array(arr, f"instance {name}", shape))
+            object.__setattr__(self, name, check_array(arr, f"instance {name}",
+                                                       tuple(map(size.get, dims))))
 
     @cached_property
     def m_sq_norm(self):
@@ -119,23 +114,41 @@ def sensing_matrix(m, n_out, seed):
         / math.sqrt(m)
 
 
+def _instance_row(kind, given):
+    """The table row of kind, once given ({make_instance argument: value})
+    sets only arguments that the kind takes, and at most one of eta,
+    eta_norm and a nonzero sigma.  None, and a zero sigma, set nothing."""
+    if kind not in KINDS:
+        raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    row = _ROWS[kind]
+    chosen = [a for a, v in given.items()
+              if v is not None and not (a == "sigma" and v == 0)]
+    for a in chosen:
+        if a not in row.needs + row.noise:
+            takers = tuple(k for k, r in _ROWS.items() if a in r.needs + r.noise)
+            raise ValidationError(f"{a} is only for the kinds {takers}, not {kind}")
+    noise = [a for a in chosen if a in _NOISE]
+    if len(noise) > 1:
+        raise ValidationError(f"{' and '.join(noise)} are two noise sources; give at "
+                              "most one of eta, eta_norm and a nonzero sigma")
+    return row
+
+
 def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
                   eta_norm=None, n_samples=None, seed=0):
     """Build an Instance, drawing whatever was not supplied.
 
     x_star defaults to a uniform unit latent.  CS and PR need m (rows of
-    the N(0, 1/m) sensing matrix), and the other kinds reject it; the
-    spiked kinds need n_samples for the Wishart row count (ignored for
-    Wigner).  Noise: pass eta directly, or eta_norm for a random
-    direction of exactly that norm, or sigma for i.i.d. N(0, sigma^2)
-    entries; for the spiked kinds sigma scales the matrix noise.
+    the N(0, 1/m) sensing matrix), SPIKED_WISHART needs n_samples (rows
+    of B).  Noise: pass eta directly, or eta_norm for a random direction
+    of exactly that norm, or sigma for i.i.d. N(0, sigma^2) entries; for
+    the spiked kinds sigma scales the matrix noise.  An argument the kind
+    does not take, or a second noise source, raises a ValidationError.
     Component draws use fixed sub-streams of seed, so e.g. the sensing
     matrix does not change when a different x_star is provided.
     """
-    if kind not in KINDS:
-        raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if m is not None and kind not in SENSING_KINDS:
-        raise ValidationError(f"m is only for the kinds {SENSING_KINDS}, not {kind}")
+    given = dict(m=m, eta=eta, eta_norm=eta_norm, sigma=sigma, n_samples=n_samples)
+    row = _instance_row(kind, given)
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValidationError("sigma must be finite and nonnegative")
@@ -147,82 +160,70 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
         if not np.linalg.norm(x_star) > 0.0:
             raise ValidationError("x_star must be a nonzero latent vector")
     y_star = forward(net, x_star)[-1]
+    args = {a: v for a, v in given.items() if v is not None} | {"sigma": sigma}
+    return Instance(kind=kind, net=net, x_star=x_star, y_star=y_star,
+                    **row.build(y_star, seed, **args))
 
-    a = None
-    m_obs = None
-    n_out = net.n_out
 
-    if kind in SENSING_KINDS:
-        a = sensing_matrix(m, n_out, seed)
-        noise_dim = a.shape[0]
-    elif kind == "DEN":
-        noise_dim = n_out
+def _plus_noise(clean, seed, eta=None, eta_norm=None, sigma=0.0):
+    """b = clean + eta, eta from the one noise source given: eta itself, a
+    random direction of norm eta_norm, N(0, sigma^2) entries, or zeros.
+    With clean = y_star this is the DEN build."""
+    dim = len(clean)
+    if eta is not None:
+        eta = check_array(eta, "eta", (dim,))
+    elif eta_norm is not None:
+        eta_norm = float(eta_norm)
+        if not (math.isfinite(eta_norm) and eta_norm >= 0.0):
+            raise ValidationError("eta_norm must be finite and nonnegative")
+        eta = sub_rng(seed, DOMAIN_INSTANCE, _ETA).standard_normal(dim)
+        eta *= eta_norm / np.linalg.norm(eta)
+    elif sigma > 0.0:
+        eta = sigma * sub_rng(seed, DOMAIN_INSTANCE, _ETA).standard_normal(dim)
     else:
-        noise_dim = None
-
-    if noise_dim is not None:
-        if eta is not None:
-            eta = check_array(eta, "eta", (noise_dim,))
-        elif eta_norm is not None:
-            eta_norm = float(eta_norm)
-            if not (math.isfinite(eta_norm) and eta_norm >= 0.0):
-                raise ValidationError("eta_norm must be finite and nonnegative")
-            eta = sub_rng(seed, DOMAIN_INSTANCE, _ETA).standard_normal(noise_dim)
-            eta *= eta_norm / np.linalg.norm(eta)
-        elif sigma > 0.0:
-            eta = sigma * sub_rng(seed, DOMAIN_INSTANCE, _ETA).standard_normal(noise_dim)
-        else:
-            eta = np.zeros(noise_dim)
-
-    if kind == "CS":
-        b = a @ y_star + eta
-    elif kind == "PR":
-        b = np.abs(a @ y_star) + eta
-    elif kind == "DEN":
-        b = y_star + eta
-    elif kind == "SPIKED_WISHART":
-        n_samples = check_count(n_samples, "n_samples")
-        u = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_U).standard_normal(n_samples)
-        if sigma > 0.0:
-            z = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_Z).standard_normal((n_samples, n_out))
-            z *= sigma  # B = u y_star^T + sigma Z, built in place in z
-            for i in range(0, n_samples, _ROW_BLOCK):
-                z[i:i + _ROW_BLOCK] += np.outer(u[i:i + _ROW_BLOCK], y_star)
-        else:
-            # B = u y_star^T, with no Z drawn.  Where y_star_j > 0 the
-            # column is the drawn build's (adding the signed zero 0 Z_ij to
-            # u_i y_star_j changes nothing).  Where y_star_j = +0 (a relu
-            # zero) only the zeros' signs differ, and they reach M through
-            # z^T z alone, whose zero entries are +0 in both builds: here
-            # every product of such a zero is +0, and there a sum of zeros
-            # is -0 only if every term is.  The tests compare the bytes
-            # with the drawn build, n_samples = 1 included.
-            z = np.outer(u, y_star)
-        raw = z.T @ z
-        del z
-        raw /= n_samples
-        raw[np.diag_indices(n_out)] -= sigma ** 2
-        m_obs = raw + raw.T
-        m_obs /= 2.0
-        b = None
-    else:  # SPIKED_WIGNER
-        s = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_H).standard_normal((n_out, n_out))
-        h = (s + s.T) / math.sqrt(2.0)  # GOE: offdiag var 1, diag var 2
-        raw = np.outer(y_star, y_star) + sigma * h
-        m_obs = (raw + raw.T) / 2.0
-        b = None
-
-    return Instance(kind=kind, net=net, x_star=x_star, y_star=y_star, a=a, b=b,
-                    m_obs=m_obs, eta=eta)
+        eta = np.zeros(dim)
+    return {"b": clean + eta, "eta": eta}
 
 
-class _Outer(NamedTuple):
-    """How one kind turns G(x) into its loss and outer gradient w."""
+def _sensed_build(measure, y_star, seed, m=None, **noise):
+    """The build of a kind that observes b = measure(A y_star) + eta."""
+    a = sensing_matrix(m, len(y_star), seed)
+    return {"a": a} | _plus_noise(measure(a @ y_star), seed, **noise)
 
-    residual: object     # (inst, g) -> tuple of what loss and gradient reuse
-    loss: object         # (inst, g, res) -> float
-    gradient: object     # (inst, g, res) -> w, the gradient of f in G(x)
-    certificate: object  # inst -> the no-flip certificate of solve
+
+def _wishart_build(y_star, seed, n_samples=None, sigma=0.0):
+    n_samples = check_count(n_samples, "n_samples")
+    n_out = len(y_star)
+    u = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_U).standard_normal(n_samples)
+    if sigma > 0.0:
+        z = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_Z).standard_normal((n_samples, n_out))
+        z *= sigma  # B = u y_star^T + sigma Z, built in place in z
+        for i in range(0, n_samples, _ROW_BLOCK):
+            z[i:i + _ROW_BLOCK] += np.outer(u[i:i + _ROW_BLOCK], y_star)
+    else:
+        # B = u y_star^T, with no Z drawn.  Where y_star_j > 0 the
+        # column is the drawn build's (adding the signed zero 0 Z_ij to
+        # u_i y_star_j changes nothing).  Where y_star_j = +0 (a relu
+        # zero) only the zeros' signs differ, and they reach M through
+        # z^T z alone, whose zero entries are +0 in both builds: here
+        # every product of such a zero is +0, and there a sum of zeros
+        # is -0 only if every term is.  The tests compare the bytes
+        # with the drawn build, n_samples = 1 included.
+        z = np.outer(u, y_star)
+    raw = z.T @ z
+    del z
+    raw /= n_samples
+    raw[np.diag_indices(n_out)] -= sigma ** 2
+    m_obs = raw + raw.T
+    m_obs /= 2.0
+    return {"m_obs": m_obs}
+
+
+def _wigner_build(y_star, seed, sigma=0.0):
+    s = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_H).standard_normal((len(y_star),) * 2)
+    h = (s + s.T) / math.sqrt(2.0)  # GOE: offdiag var 1, diag var 2
+    raw = np.outer(y_star, y_star) + sigma * h
+    return {"m_obs": (raw + raw.T) / 2.0}
 
 
 def _norm(v):
@@ -347,31 +348,49 @@ class _SpikedFlipBound(_FlipBound):
                 < 2.0 ** 400)
 
 
-_SPIKED = _Outer(_spiked, _spiked_loss, lambda inst, g, res: -2.0 * (res[0] - res[1] * g),
-                 _SpikedFlipBound)
+class _Kind(NamedTuple):
+    """One kind: what make_instance takes and builds, and how G(x) gives f and w."""
 
-_OUTER = {
-    "CS": _Outer(_cs, _half_sq, lambda inst, g, res: inst.a.T @ (res[1] - inst.b),
+    needs: tuple         # the make_instance arguments it cannot do without
+    noise: tuple         # the noise arguments it takes, at most one per call
+    build: object        # (y_star, seed, **taken arguments) -> {Instance field: array}
+    shapes: dict         # {Instance field: shape}, "n" = n_out, "m" = rows of A; rest None
+    residual: object     # (inst, g) -> tuple of what loss and gradient reuse
+    loss: object         # (inst, g, res) -> float
+    gradient: object     # (inst, g, res) -> w, the gradient of f in G(x)
+    certificate: object  # inst -> the no-flip certificate of solve
+
+
+_SENSED = {"a": ("m", "n"), "b": ("m",), "eta": ("m",)}
+_SPIKED = ({"m_obs": ("n", "n")}, _spiked, _spiked_loss,
+           lambda inst, g, res: -2.0 * (res[0] - res[1] * g), _SpikedFlipBound)
+
+_ROWS = {
+    "CS": _Kind(("m",), _NOISE, partial(_sensed_build, lambda ag: ag), _SENSED, _cs,
+                _half_sq, lambda inst, g, res: inst.a.T @ (res[1] - inst.b), _FlipBound),
+    "PR": _Kind(("m",), _NOISE, partial(_sensed_build, np.abs), _SENSED, _pr, _half_sq,
+                _pr_gradient, _FlipBound),
+    "DEN": _Kind((), _NOISE, _plus_noise, {"b": ("n",), "eta": ("n",)},
+                 lambda inst, g: (inst.b - g,), _half_sq, lambda inst, g, res: g - inst.b,
                  _FlipBound),
-    "PR": _Outer(_pr, _half_sq, _pr_gradient, _FlipBound),
-    "DEN": _Outer(lambda inst, g: (inst.b - g,), _half_sq, lambda inst, g, res: g - inst.b,
-                  _FlipBound),
-    "SPIKED_WISHART": _SPIKED,
-    "SPIKED_WIGNER": _SPIKED,
+    "SPIKED_WISHART": _Kind(("n_samples",), ("sigma",), _wishart_build, *_SPIKED),
+    "SPIKED_WIGNER": _Kind((), ("sigma",), _wigner_build, *_SPIKED),
 }
+KINDS = tuple(_ROWS)
+_OUTER = _ROWS  # the name under which the solver tests read the outer columns
 
 
 def _evaluate(inst, x):
     """(loss, layer outputs, residual) from one sweep at x."""
     outs = forward(inst.net, x)
-    row = _OUTER[inst.kind]
+    row = _ROWS[inst.kind]
     res = row.residual(inst, outs[-1])
     return row.loss(inst, outs[-1], res), outs, res
 
 
 def _subgradient_at(inst, outs, res):
     """Lambda_x^T w from an _evaluate result, in one transposed sweep."""
-    w = _OUTER[inst.kind].gradient(inst, outs[-1], res)
+    w = _ROWS[inst.kind].gradient(inst, outs[-1], res)
     # relu(z) > 0 exactly when z > 0, so the outputs carry the masks
     return apply_masked_t(inst.net, [o > 0.0 for o in outs[1:]], w)
 
@@ -552,7 +571,7 @@ def solve(inst, cfg):
     alpha = cfg.c_step * 2.0 ** d / d ** 2
     contraction = 1.0 - (7.0 / 8.0) * alpha / 2.0 ** d
     x = _start_point(inst, cfg)
-    bound = _OUTER[inst.kind].certificate(inst)
+    bound = _ROWS[inst.kind].certificate(inst)
 
     rows = []
     negations = []

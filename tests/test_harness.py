@@ -3,6 +3,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import csv
 import io
 import math
+import multiprocessing
 import os
 import re
 import sys
@@ -175,6 +176,92 @@ def test_cli_solve_rejects_m_for_den(tmp_path, capsys):
     assert not out.exists()
 
 
+# The instance arguments each kind takes, written out as the spec the
+# table in gpnet.solvers must follow, and what a kind cannot do without.
+KIND_TAKES = {"CS": ("m", "eta", "eta_norm", "sigma"),
+              "PR": ("m", "eta", "eta_norm", "sigma"),
+              "DEN": ("eta", "eta_norm", "sigma"),
+              "SPIKED_WISHART": ("sigma", "n_samples"),
+              "SPIKED_WIGNER": ("sigma",)}
+KIND_NEEDS = {"CS": {"m": 8}, "PR": {"m": 8}, "DEN": {},
+              "SPIKED_WISHART": {"n_samples": 30}, "SPIKED_WIGNER": {}}
+ARG_CASES = [(kind, (arg,)) for kind in KIND_TAKES
+             for arg in ("m", "eta", "eta_norm", "sigma", "n_samples")]
+ARG_CASES += [(kind, pair) for kind in KIND_TAKES
+              for pair in (("eta", "eta_norm"), ("eta", "sigma"), ("eta_norm", "sigma"))]
+
+
+@pytest.mark.parametrize("kind,args", ARG_CASES,
+                         ids=[f"{kind}-{'+'.join(args)}" for kind, args in ARG_CASES])
+def test_instance_arguments_follow_the_kind_table(kind, args, tmp_path, capsys):
+    # an argument the kind does not read, or a second noise source, is an
+    # error in make_instance, ExperimentSpec and gpnet solve alike
+    values = {"m": 6, "eta": np.zeros(8 if "m" in KIND_TAKES[kind] else 10),
+              "eta_norm": 0.1, "sigma": 0.1, "n_samples": 20}
+    given = KIND_NEEDS[kind] | {a: values[a] for a in args}
+    untaken = [a for a in args if a not in KIND_TAKES[kind]]
+    if untaken:
+        errors = [f"{a} is only for the kinds "
+                  f"{tuple(k for k in KIND_TAKES if a in KIND_TAKES[k])}, not {kind}"
+                  for a in untaken]
+    elif len(args) > 1:
+        errors = [f"{' and '.join(order)} are two noise sources; give at most one of "
+                  "eta, eta_norm and a nonzero sigma" for order in (args, args[::-1])]
+    else:
+        errors = []
+    net = sample_gaussian_net((4, 20, 10), 0)
+    if errors:
+        with pytest.raises(ValidationError) as exc:
+            make_instance(kind, net, seed=0, **given)
+        assert str(exc.value) in errors
+    else:
+        make_instance(kind, net, seed=0, **given)
+    if "eta" in args:  # neither a config nor the command line can give eta
+        return
+    spec_args = dict(kind=kind, sweep_axis="width", sweep_values=(20, 30),
+                     dims=(4, 20, 10), **given)
+    argv = ["solve", "--dims", "4,20,10", "--kind", kind, "--t-max", "1",
+            "--out", str(tmp_path / "trace.csv")]
+    for a, v in given.items():
+        argv += [f"--{a.replace('_', '-')}", str(v)]
+    if errors:
+        with pytest.raises(ValidationError) as exc:
+            small_spec(**spec_args)
+        assert str(exc.value) in errors
+        assert main(argv) == 1
+        assert capsys.readouterr().err.removeprefix("error: ").rstrip("\n") in errors
+        assert not (tmp_path / "trace.csv").exists()
+    else:
+        small_spec(**spec_args)
+        assert main(argv) == 0
+
+
+def test_sigma_sweep_over_eta_norm_is_rejected_before_any_cell(tmp_path, capsys,
+                                                                monkeypatch):
+    # each sigma would rerun the eta_norm cells, so the spec refuses the grid
+    def no_run(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(harness, "run_cell", no_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+    den = CONFIG.replace("kind = CS", "kind = DEN").replace("sweep = m", "sweep = sigma") \
+        .replace("values = 100, 200", "values = 0.0, 0.1")
+    for kind in ("CS", "PR"):
+        sensed = den.replace("kind = DEN", f"kind = {kind}").replace(
+            "eta_norm", "m = 50\neta_norm")
+        with pytest.raises(ValidationError, match="sigma and eta_norm are two noise"):
+            parse_experiment_config(sensed)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(den)
+    out = tmp_path / "o.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: sigma and eta_norm are two noise")
+    assert not out.exists()
+    # a sigma sweep alone, and one value of sigma = 0 beside eta_norm, still parse
+    assert parse_experiment_config(den.replace("eta_norm = 0.1", "")).sweep_axis == "sigma"
+    assert parse_experiment_config(den.replace("0.0, 0.1", "0.0")).eta_norm == 0.1
+
+
 BAD_RECIPES = ("k=abc d=3", "k=inf d=3", "k=nan d=3", "k=4.7 d=3", "k=4 d=3.5",
                "k=4 d=3 c_bar=inf")
 
@@ -335,8 +422,10 @@ def test_jobs_clamped_to_cells_and_cpus(monkeypatch):
     found = blas.blas_threads() is not None
 
     class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, initializer, initargs, mp_context=None):
             sizes.append(max_workers)
+            if "fork" in multiprocessing.get_all_start_methods():
+                assert mp_context.get_start_method() == "fork"
             # the workers fork warm: the first cell's net is built, so
             # numpy.random is imported, before the pool exists
             assert list(harness._NET) == [(spec.dims, spec.net_seed)]
@@ -372,6 +461,19 @@ def test_jobs_clamped_to_cells_and_cpus(monkeypatch):
         run_experiment(spec, jobs=10 ** 9)
     assert sizes == [4]
     assert harness._NET == {}
+
+
+def test_spawn_pool_gives_the_serial_rows():
+    # a cell is a pure function of its arguments, so a worker that inherits
+    # nothing (no warm net, no rebound run_cell) computes the same row
+    spec = small_spec(seeds=(0,), solver=SolverConfig(t_max=40))  # two DEN cells
+    cells = [(spec, float(v), 0) for v in spec.sweep_values]
+    serial = [run_cell(*cell) for cell in cells]
+    harness._NET.clear()
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        spawned = list(pool.map(harness._star_args, cells))
+    assert experiment_csv_text(spawned) == experiment_csv_text(serial)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -587,6 +689,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["solve", "--net", str(net), "--kind", "CS", "--m", "10",
                      flag, "inf"]) == 1
         assert field in capsys.readouterr().err
+    # validation: a kind run without the count it needs names the flag
+    for kind, flag in (("SPIKED_WISHART", "--n-samples"), ("CS", "--m"), ("PR", "--m")):
+        assert main(["solve", "--net", str(net), "--kind", kind, "--t-max", "3"]) == 1
+        assert capsys.readouterr().err == f"error: --kind {kind} needs {flag}\n"
 
 
 def test_cli_rejects_bad_sizes_and_stride(tmp_path, capsys):

@@ -697,7 +697,8 @@ def test_spiked_flip_bound_refuses_a_tie(kind):
     x0 = np.random.default_rng(4).standard_normal(net.k)
     g_pos, g_neg = forward(net, x0)[-1], forward(net, -x0)[-1]
     m_obs = 0.5 * (np.outer(g_pos, g_pos) + np.outer(g_neg, g_neg))
-    inst = dataclasses.replace(make_instance(kind, net, x_star=x0, n_samples=5),
+    kwargs = {"n_samples": 5} if kind == "SPIKED_WISHART" else {}
+    inst = dataclasses.replace(make_instance(kind, net, x_star=x0, **kwargs),
                                m_obs=m_obs)
     bound = _certificate(inst)
     f_pos, f_neg = loss(inst, x0), loss(inst, -x0)
@@ -793,9 +794,7 @@ def test_trace_csv_roundtrip():
     assert tr2.csv_text() == text
 
 
-# Instance.__post_init__ runs these checks.  The shapes_unfit_for_kind ids
-# keep the name they had when the checks ran on loading an instance file; a
-# rename can follow in a later change.
+# Instance.__post_init__ runs these checks.
 
 def test_instance_rejects_wrong_latent_length():
     inst = make_instance("DEN", small_net(), seed=0)
@@ -822,7 +821,7 @@ def test_instance_rejects_net_with_other_output_width():
     ("SPIKED_WIGNER", {"sigma": 0.1}, "m_obs", None),
     ("SPIKED_WISHART", {"n_samples": 20}, "b", np.ones(30)),
 ])
-def test_instance_load_rejects_shapes_unfit_for_kind(kind, kwargs, field, bad):
+def test_instance_rejects_shapes_unfit_for_kind(kind, kwargs, field, bad):
     inst = make_instance(kind, small_net(), seed=0, **kwargs)
     with pytest.raises(ValidationError, match=f"instance {field} "):
         dataclasses.replace(inst, **{field: bad})
