@@ -13,9 +13,9 @@ import sys
 from .conditions import (_PATTERN_MAX_ROWS, _csv_text, _write_text, pattern_count_exact,
                          r2wdc_deviation, reports_csv_text, rric_deviation, wdc_deviation)
 from .errors import DivergenceError, InfeasibleError, ValidationError, check_count
-from .harness import (_parse_ints, _parse_recipe, experiment_csv_text,
-                      parse_experiment_config, run_condition_suite, run_experiment,
-                      summary_csv_text, summary_path_for)
+from .harness import (_INSTANCE_KEYS, _SOLVER_KEYS, _parse_ints, _parse_recipe,
+                      experiment_csv_text, parse_experiment_config, run_condition_suite,
+                      run_experiment, summary_csv_text, summary_path_for)
 from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
 from .rng import DOMAIN_SAMPLE, sub_rng
 from .solvers import (KINDS, SolverConfig, _instance_row, make_instance,
@@ -30,14 +30,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
-
-
-def _add_net_source(p):
-    p.add_argument("--net", help="path to a saved network file")
-    p.add_argument("--dims", help="comma separated dims, e.g. 8,250,600")
-    p.add_argument("--recipe", help="contractive recipe, e.g. 'k=4 d=3 c_bar=2'")
-    p.add_argument("--net-seed", type=int, default=0,
-                   help="seed for sampling when --dims/--recipe is used")
 
 
 def _given(args, *names):
@@ -89,14 +81,11 @@ def _cmd_recipe(args):
 
 def _cmd_solve(args):
     check_count(args.trace_stride, "--trace-stride")
-    given = _given(args, "m", "sigma", "eta_norm", "n_samples")
-    for name in _instance_row(args.kind, given).needs:
-        if name not in given:
-            raise ValidationError(f"--kind {args.kind} needs --{name.replace('_', '-')}")
+    given = _given(args, *_INSTANCE_KEYS)
+    _instance_row(args.kind, given)  # before the net is sampled
     net, _ = _net_from_args(args)
     inst = make_instance(args.kind, net, seed=args.seed, **given)
-    cfg = SolverConfig(seed=args.seed,
-                       **_given(args, "c_step", "t_max", "rel_step_tol"))
+    cfg = SolverConfig(seed=args.seed, **_given(args, *_SOLVER_KEYS))
     tr = solve(inst, cfg)
     print(f"kind={args.kind} steps={tr.n_steps} stop={tr.stop_reason} "
           f"negations={len(tr.negations)} "
@@ -114,39 +103,41 @@ def _layer_list(args, net):
     return [args.layer]
 
 
-def _cmd_check_wdc(args):
-    net, _ = _net_from_args(args)
-    reports = [wdc_deviation(net.weights[i - 1], args.samples, args.seed, layer=i)
-               for i in _layer_list(args, net)]
-    worst = max(r.max_eps for r in reports)
-    print(f"wdc max deviation {worst!r} over {args.samples} pairs per layer")
+def _report(args):
+    """Print the line of args.build's (reports, line); write the reports to --out."""
+    reports, line = args.build(args)
+    print(line)
     _write_out(args, reports_csv_text(reports), "report")
     return 0
 
 
-def _cmd_check_r2wdc(args):
+def _wdc(args):
+    net, _ = _net_from_args(args)
+    reports = [wdc_deviation(net.weights[i - 1], args.samples, args.seed, layer=i)
+               for i in _layer_list(args, net)]
+    worst = max(r.max_eps for r in reports)
+    return reports, f"wdc max deviation {worst!r} over {args.samples} pairs per layer"
+
+
+def _r2wdc(args):
     net, _ = _net_from_args(args)
     reports = [r2wdc_deviation(net, i, args.samples, args.seed)
                for i in _layer_list(args, net)]
     worst = max(r.max_eps for r in reports)
     skipped = sum(r.skipped for r in reports)
-    print(f"r2wdc max deviation {worst!r} over {args.samples} tuples per layer "
-          f"(skipped {skipped})")
-    _write_out(args, reports_csv_text(reports), "report")
-    return 0
+    return reports, (f"r2wdc max deviation {worst!r} over {args.samples} tuples per "
+                     f"layer (skipped {skipped})")
 
 
-def _cmd_check_rric(args):
+def _rric(args):
     net, _ = _net_from_args(args)
     a = sensing_matrix(args.m, net.n_out, args.seed)
     rep = rric_deviation(a, net, args.samples, args.seed)
-    print(f"rric max deviation {rep.max_eps!r} over {args.samples} pairs "
-          f"(skipped {rep.skipped})")
-    _write_out(args, reports_csv_text([rep]), "report")
-    return 0
+    return [rep], (f"rric max deviation {rep.max_eps!r} over {args.samples} pairs "
+                   f"(skipped {rep.skipped})")
 
 
-def _cmd_check_patterns(args):
+def _patterns(args):
     if args.ell not in (1, 2, 3):
         raise ValidationError("ell must be 1, 2 or 3")
     if not (1 <= args.rows <= _PATTERN_MAX_ROWS and 1 <= args.cols <= _PATTERN_MAX_COLS):
@@ -156,21 +147,16 @@ def _cmd_check_patterns(args):
     w = rng.standard_normal((args.rows, args.cols))
     basis = rng.standard_normal((args.cols, args.ell))
     pc = pattern_count_exact(w, basis)
-    print(f"patterns={pc.count} comb_bound={pc.comb_bound} "
-          f"log_bound={pc.log_bound!r}")
-    _write_out(args, reports_csv_text([pc.to_report()]), "report")
-    return 0
+    return [pc.to_report()], (f"patterns={pc.count} comb_bound={pc.comb_bound} "
+                              f"log_bound={pc.log_bound!r}")
 
 
-def _cmd_conditions(args):
+def _conditions(args):
     net, recipe = _net_from_args(args)
     reports = run_condition_suite(net, args.samples, args.seed, recipe=recipe,
                                   **_given(args, "eps_ref", "pairs"))
-    text = reports_csv_text(reports)
-    n_rows = text.count("\n") - 1
-    print(f"collected {n_rows} condition rows on dims={net.dims}")
-    _write_out(args, text, "report")
-    return 0
+    n_rows = sum(1 for r in reports for _ in r.rows())
+    return reports, f"collected {n_rows} condition rows on dims={net.dims}"
 
 
 def _cmd_experiment(args):
@@ -195,9 +181,20 @@ def _cmd_experiment(args):
 def build_parser():
     parser = _Parser(prog="gpnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # parents; argparse shares their actions, so no command may change their defaults
+    source = _Parser(add_help=False)  # the net source
+    source.add_argument("--net", help="path to a saved network file")
+    source.add_argument("--dims", help="comma separated dims, e.g. 8,250,600")
+    source.add_argument("--recipe", help="contractive recipe, e.g. 'k=4 d=3 c_bar=2'")
+    source.add_argument("--net-seed", type=int, default=0,
+                        help="seed for sampling when --dims/--recipe is used")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--out", help="write the CSV here")
+    checked = _Parser(add_help=False, parents=[source, seeded])
+    checked.add_argument("--samples", type=int, default=200)
 
-    p = sub.add_parser("gen-net", help="sample a network and save it")
-    _add_net_source(p)
+    p = sub.add_parser("gen-net", help="sample a network and save it", parents=[source])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_net)
 
@@ -209,58 +206,39 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=_cmd_recipe)
 
-    p = sub.add_parser("solve", help="build one instance and run the solver")
-    _add_net_source(p)
+    p = sub.add_parser("solve", help="build one instance and run the solver",
+                       parents=[source, seeded])
     p.add_argument("--kind", required=True, help="|".join(KINDS))
-    p.add_argument("--m", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--eta-norm", type=float)
-    p.add_argument("--n-samples", type=int)
-    p.add_argument("--c-step", type=float)
-    p.add_argument("--t-max", type=int)
-    p.add_argument("--rel-step-tol", type=float)
+    for key, kind in (_INSTANCE_KEYS | _SOLVER_KEYS).items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.add_argument("--trace-stride", type=int, default=1,
                    help="write every stride-th trace row, plus the last")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the iterate trace CSV here")
     p.set_defaults(func=_cmd_solve)
 
-    for name, fn in (("check-wdc", _cmd_check_wdc),
-                     ("check-r2wdc", _cmd_check_r2wdc)):
-        p = sub.add_parser(name, help="masked-Gram deviation per layer")
-        _add_net_source(p)
+    for name, build in (("check-wdc", _wdc), ("check-r2wdc", _r2wdc)):
+        p = sub.add_parser(name, help="masked-Gram deviation per layer", parents=[checked])
         p.add_argument("--layer", type=int, default=0, help="0 means all layers")
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_report, build=build)
 
-    p = sub.add_parser("check-rric", help="measurement-Gram deviation on "
-                                          "output differences")
-    _add_net_source(p)
+    p = sub.add_parser("check-rric", parents=[checked],
+                       help="measurement-Gram deviation on output differences")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_check_rric)
+    p.set_defaults(func=_report, build=_rric)
 
-    p = sub.add_parser("check-patterns", help="exact activation-pattern count "
-                                              "of a random matrix over a slice")
+    p = sub.add_parser("check-patterns", parents=[seeded],
+                       help="exact activation-pattern count of a random matrix over a slice")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_check_patterns)
+    p.set_defaults(func=_report, build=_patterns)
 
-    p = sub.add_parser("conditions", help="full condition suite on one net")
-    _add_net_source(p)
+    # its own --samples, as a default set on checked's would reach every check
+    p = sub.add_parser("conditions", help="full condition suite on one net",
+                       parents=[source, seeded])
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--pairs", type=int)
     p.add_argument("--eps-ref", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_conditions)
+    p.set_defaults(func=_report, build=_conditions)
 
     p = sub.add_parser("experiment", help="run a sweep described by a config")
     p.add_argument("--config", required=True)

@@ -296,6 +296,7 @@ def omega(dims, m):
         * math.sqrt(k / m * log_term)
 
 
+@one_blas_thread()
 def noise_coupling(net, a, eta, samples, seed):
     """How strongly a fixed noise vector enters the latent geometry.
 
@@ -476,6 +477,14 @@ def log_piece_count_bounds(dims):
 # linearization concentration
 # ---------------------------------------------------------------------------
 
+def check_eps_ref(eps_ref):
+    """eps_ref as a float, when it is finite and > 0; a ValidationError otherwise."""
+    eps = float(eps_ref)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValidationError(f"eps_ref must be finite and positive, got {eps_ref!r}")
+    return eps
+
+
 def _require_off_boundary(net, x, name):
     for i, z in enumerate(preactivations(net, x), start=1):
         if np.any(z == 0.0):
@@ -492,6 +501,7 @@ def lambda_concentration(net, x, y, eps_ref=0.2):
       sq_norm_scaled 2^d lambda_max(Lambda_x^T Lambda_x),      target 13/12
       htilde_gap     2^d |Lambda_x^T G(y) - h_tilde| / |y|,    target 24 d^3 sqrt(eps)
     """
+    eps = check_eps_ref(eps_ref)
     x = check_array(x, "x", (net.k,))
     y = check_array(y, "y", (net.k,))
     if np.linalg.norm(x) == 0.0 or np.linalg.norm(y) == 0.0:
@@ -507,7 +517,6 @@ def lambda_concentration(net, x, y, eps_ref=0.2):
     prof = angle_profile(x, y, d)
     s3 = scale * float(np.linalg.norm(lam.T @ gy - prof.h_tilde)) \
         / float(np.linalg.norm(y))
-    eps = float(eps_ref)
     return ConditionReport(
         kind="LAMBDA_CONC", samples=1,
         aux={"gram_gap": s1, "sq_norm_scaled": s2, "htilde_gap": s3},
@@ -525,7 +534,7 @@ def norm_angle_report(net, x, y, eps_ref=0.2):
     floor 1/(4 pi)) and its gap to the h_tilde prediction (target
     24 d^3 sqrt(eps)).  The report is scale invariant in x and y.
     """
-    eps = float(eps_ref)
+    eps = check_eps_ref(eps_ref)
     outs_x = forward(net, x)
     outs_y = forward(net, y)
     nx = float(np.linalg.norm(outs_x[0]))
@@ -575,13 +584,14 @@ class LipschitzResult:
 
 
 def lipschitz_check(net, x, y, eps_ref=0.2):
+    eps = check_eps_ref(eps_ref)
     outs_x = forward(net, x)
     outs_y = forward(net, y)
     diff = float(np.linalg.norm(outs_x[0] - outs_y[0]))
     d = net.depth
     if diff == 0.0:
         return LipschitzResult(ratios=(0.0,) * d, in_ball=True)
-    in_ball = diff <= d * math.sqrt(float(eps_ref)) * float(np.linalg.norm(outs_y[0]))
+    in_ball = diff <= d * math.sqrt(eps) * float(np.linalg.norm(outs_y[0]))
     ratios = tuple(2.0 ** (i / 2.0)
                    * float(np.linalg.norm(outs_x[i] - outs_y[i])) / diff
                    for i in range(1, d + 1))

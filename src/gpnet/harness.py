@@ -36,9 +36,10 @@ rebuilds dims as the first hidden width repeated value times.  Values
 are read literally, % included, and repeated sweep values or seeds are
 rejected.  So are an unknown section or key, a [net] with both or
 neither of dims and recipe, an instance argument (key or sweep) that
-the kind does not take, and two noise sources (a sigma sweep over an
-eta_norm).  Reported errors are relative to the planted latent and
-signal norms.
+the kind does not take, a kind without the m or n_samples it needs,
+two noise sources (a sigma sweep over an eta_norm), and an [instance]
+m or sigma that the sweep would replace.  Reported errors are relative
+to the planted latent and signal norms.
 """
 
 from collections.abc import Callable
@@ -53,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blas import blas_threads, one_blas_thread, set_blas_threads
-from .conditions import (ConditionReport, _csv_text, lambda_concentration,
+from .conditions import (ConditionReport, _csv_text, check_eps_ref, lambda_concentration,
                          lipschitz_check, convexity_direction_check, log_piece_count_bounds,
                          norm_angle_report, r2wdc_deviation, wdc_deviation)
 from .errors import DivergenceError, ValidationError, check_count
@@ -64,19 +65,19 @@ from .solvers import SolverConfig, _instance_row, make_instance, solve
 
 class _Axis(NamedTuple):
     """A sweep axis: whether its values must be integers, the cell dims from
-    the spec's dims and a value, and the make_instance arguments a value sets."""
+    the spec's dims and a value, and the make_instance argument a value
+    sets (None for none)."""
 
     integral: bool
     dims: Callable
-    instance: Callable
+    arg: str | None
 
 
 SWEEP_AXES = {
-    "m": _Axis(True, lambda dims, v: dims, lambda v: {"m": int(v)}),
-    "sigma": _Axis(False, lambda dims, v: dims, lambda v: {"sigma": float(v)}),
-    "width": _Axis(True, lambda dims, v: dims[:1] + (int(v),) * (len(dims) - 1),
-                   lambda v: {}),
-    "depth": _Axis(True, lambda dims, v: dims[:1] + dims[1:2] * int(v), lambda v: {}),
+    "m": _Axis(True, lambda dims, v: dims, "m"),
+    "sigma": _Axis(False, lambda dims, v: dims, "sigma"),
+    "width": _Axis(True, lambda dims, v: dims[:1] + (int(v),) * (len(dims) - 1), None),
+    "depth": _Axis(True, lambda dims, v: dims[:1] + dims[1:2] * int(v), None),
 }
 
 EXPERIMENT_COLUMNS = ("sweep_value", "seed", "final_signal_err",
@@ -115,7 +116,8 @@ class ExperimentSpec:
         if not self.sweep_values or not self.seeds:
             raise ValidationError("values and seeds must be nonempty")
         if axis.integral and not all(float(v).is_integer() for v in self.sweep_values):
-            raise ValidationError(f"{self.sweep_axis} sweep values must be integers")
+            raise ValidationError(f"[experiment] values must be integers for sweep = "
+                                  f"{self.sweep_axis}, got {self.sweep_values}")
         # a repeat would run the same cells twice and count them twice
         if len(set(map(float, self.sweep_values))) < len(self.sweep_values) \
                 or len(set(self.seeds)) < len(self.seeds):
@@ -123,6 +125,10 @@ class ExperimentSpec:
         object.__setattr__(self, "dims", check_dims(self.dims))
         for v in self.sweep_values:  # checks the kind, and each cell's arguments
             _instance_row(self.kind, _instance_args(self, v))
+        # a value given for the swept argument would be replaced in every cell
+        if axis.arg and getattr(self, axis.arg) != getattr(ExperimentSpec, axis.arg):
+            raise ValidationError(f"{axis.arg} is swept, so it must not also be given, "
+                                  f"got {axis.arg} = {getattr(self, axis.arg)!r}")
 
 
 def _cell_dims(spec, value):
@@ -131,8 +137,10 @@ def _cell_dims(spec, value):
 
 def _instance_args(spec, value):
     """The make_instance arguments of the cells at the sweep value."""
-    return {"m": spec.m, "sigma": spec.sigma, "eta_norm": spec.eta_norm,
-            "n_samples": spec.n_samples} | SWEEP_AXES[spec.sweep_axis].instance(value)
+    args = {"m": spec.m, "sigma": spec.sigma, "eta_norm": spec.eta_norm,
+            "n_samples": spec.n_samples}
+    arg = SWEEP_AXES[spec.sweep_axis].arg
+    return args if arg is None else args | {arg: value}
 
 
 # the last net a cell of this process used, keyed on (cell dims, net_seed);
@@ -364,14 +372,11 @@ def parse_experiment_config(text):
     if "output" in cp and "path" in cp["output"]:
         out = cp["output"]["path"]
 
-    sweep = exp["sweep"].strip()
-    parse_values = _parse_ints if getattr(SWEEP_AXES.get(sweep), "integral", False) \
-        else _parse_numbers
     return ExperimentSpec(
         name=exp.get("name", "experiment"),
         kind=exp["kind"].strip(),
-        sweep_axis=sweep,
-        sweep_values=parse_values(exp["values"], "[experiment] values"),
+        sweep_axis=exp["sweep"].strip(),
+        sweep_values=_parse_numbers(exp["values"], "[experiment] values"),
         seeds=_parse_seeds(exp["seeds"]),
         dims=dims,
         **given,
@@ -397,9 +402,7 @@ def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
     """
     samples = check_count(samples, "samples")
     pairs = check_count(pairs, "pairs")
-    eps = float(eps_ref)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValidationError(f"eps_ref must be finite and positive, got {eps_ref!r}")
+    eps = check_eps_ref(eps_ref)
     layers = tuple(range(1, net.depth + 1))
     reports = [wdc_deviation(net.weights[i - 1], samples, seed, layer=i) for i in layers]
     reports += [r2wdc_deviation(net, i, samples, seed) for i in layers]

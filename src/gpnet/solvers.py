@@ -83,7 +83,7 @@ class Instance:
 
     def __post_init__(self):
         kind, size = self.kind, {"n": self.net.n_out, "k": self.net.k}
-        row = _instance_row(kind, {})
+        row = _row(kind)
         if "m" in row.needs:  # the rows of the sensing matrix A
             size["m"] = len(check_array(self.a, "instance a", (None, size["n"])))
             if not size["m"]:
@@ -114,15 +114,22 @@ def sensing_matrix(m, n_out, seed):
         / math.sqrt(m)
 
 
-def _instance_row(kind, given):
-    """The table row of kind, once given ({make_instance argument: value})
-    sets only arguments that the kind takes, and at most one of eta,
-    eta_norm and a nonzero sigma.  None, and a zero sigma, set nothing."""
+def _row(kind):
+    """The table row of kind."""
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    row = _ROWS[kind]
-    chosen = [a for a, v in given.items()
-              if v is not None and not (a == "sigma" and v == 0)]
+    return _ROWS[kind]
+
+
+def _instance_row(kind, given):
+    """The table row of kind, once given ({make_instance argument: value})
+    sets only arguments that the kind takes, at most one of eta, eta_norm
+    and a nonzero sigma, and every argument the kind needs; m and n_samples
+    must be counts, sigma and eta_norm finite and nonnegative.  None, and a
+    zero sigma, set nothing."""
+    row = _row(kind)
+    chosen = {a: v for a, v in given.items()
+              if v is not None and not (a == "sigma" and v == 0)}
     for a in chosen:
         if a not in row.needs + row.noise:
             takers = tuple(k for k, r in _ROWS.items() if a in r.needs + r.noise)
@@ -131,6 +138,14 @@ def _instance_row(kind, given):
     if len(noise) > 1:
         raise ValidationError(f"{' and '.join(noise)} are two noise sources; give at "
                               "most one of eta, eta_norm and a nonzero sigma")
+    for a in row.needs:
+        if a not in chosen:
+            raise ValidationError(f"kind {kind} needs {a}")
+    for a, v in chosen.items():
+        if a in ("m", "n_samples"):
+            check_count(v, a)
+        elif a in ("sigma", "eta_norm") and not (math.isfinite(v) and v >= 0.0):
+            raise ValidationError(f"{a} must be finite and nonnegative, got {v!r}")
     return row
 
 
@@ -143,15 +158,13 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
     of B).  Noise: pass eta directly, or eta_norm for a random direction
     of exactly that norm, or sigma for i.i.d. N(0, sigma^2) entries; for
     the spiked kinds sigma scales the matrix noise.  An argument the kind
-    does not take, or a second noise source, raises a ValidationError.
+    does not take, a second noise source or a missing count raises a
+    ValidationError (see _instance_row).
     Component draws use fixed sub-streams of seed, so e.g. the sensing
     matrix does not change when a different x_star is provided.
     """
     given = dict(m=m, eta=eta, eta_norm=eta_norm, sigma=sigma, n_samples=n_samples)
     row = _instance_row(kind, given)
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValidationError("sigma must be finite and nonnegative")
 
     if x_star is None:
         x_star = unit_vector(sub_rng(seed, DOMAIN_INSTANCE, _X_STAR), net.k)
@@ -160,7 +173,7 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
         if not np.linalg.norm(x_star) > 0.0:
             raise ValidationError("x_star must be a nonzero latent vector")
     y_star = forward(net, x_star)[-1]
-    args = {a: v for a, v in given.items() if v is not None} | {"sigma": sigma}
+    args = {a: v for a, v in given.items() if v is not None} | {"sigma": float(sigma)}
     return Instance(kind=kind, net=net, x_star=x_star, y_star=y_star,
                     **row.build(y_star, seed, **args))
 
@@ -173,9 +186,6 @@ def _plus_noise(clean, seed, eta=None, eta_norm=None, sigma=0.0):
     if eta is not None:
         eta = check_array(eta, "eta", (dim,))
     elif eta_norm is not None:
-        eta_norm = float(eta_norm)
-        if not (math.isfinite(eta_norm) and eta_norm >= 0.0):
-            raise ValidationError("eta_norm must be finite and nonnegative")
         eta = sub_rng(seed, DOMAIN_INSTANCE, _ETA).standard_normal(dim)
         eta *= eta_norm / np.linalg.norm(eta)
     elif sigma > 0.0:
@@ -192,7 +202,7 @@ def _sensed_build(measure, y_star, seed, m=None, **noise):
 
 
 def _wishart_build(y_star, seed, n_samples=None, sigma=0.0):
-    n_samples = check_count(n_samples, "n_samples")
+    n_samples = int(n_samples)  # a count, as _instance_row checked
     n_out = len(y_star)
     u = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_U).standard_normal(n_samples)
     if sigma > 0.0:

@@ -379,6 +379,20 @@ def test_noise_gaussian_within_three_omega():
     assert abs(rep.aux["grad_ratio_max"] - NOISE_PIN_GRAD) < 1e-9
 
 
+def test_noise_bytes_do_not_depend_on_caller_blas_threads(caller_blas_threads):
+    # A^T eta and the masked transposed sweeps round differently on two threads
+    net = sample_gaussian_net((8, 400, 1500), 0)
+    for seed in (0, 1):
+        a = sub_rng(seed, DOMAIN_INSTANCE, 1).standard_normal((900, 1500)) / 30.0
+        eta = sub_rng(seed, DOMAIN_INSTANCE, 0).standard_normal(900)
+        texts = []
+        for n in (1, 2):
+            blas.set_blas_threads(n)
+            texts.append(reports_csv_text([noise_coupling(net, a, eta, 40, 0)]))
+            assert blas.blas_threads() == n
+        assert texts[0] == texts[1]
+
+
 # ---------------------------------------------------------------------------
 # pattern counting
 # ---------------------------------------------------------------------------
@@ -669,6 +683,17 @@ def test_lipschitz_identity_like_layer():
     # G moves exactly like the identity on the positive orthant, so the
     # scaled ratio is sqrt(2)
     assert abs(res.ratios[0] - math.sqrt(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("eps_ref", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("check", [norm_angle_report, lambda_concentration,
+                                   lipschitz_check])
+def test_checks_reject_bad_eps_ref(check, eps_ref):
+    # nan used to give NaN targets, and -1 a bare math domain error
+    net = sample_gaussian_net((4, 60, 50), 0)
+    x, y = sub_rng(0, DOMAIN_SAMPLE, 0).standard_normal((2, 4))
+    with pytest.raises(ValidationError, match="eps_ref must be finite and positive"):
+        check(net, x, y, eps_ref=eps_ref)
 
 
 def test_convexity_requires_distinct_points():

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 from contextlib import redirect_stderr, redirect_stdout
 import csv
@@ -260,6 +261,66 @@ def test_sigma_sweep_over_eta_norm_is_rejected_before_any_cell(tmp_path, capsys,
     # a sigma sweep alone, and one value of sigma = 0 beside eta_norm, still parse
     assert parse_experiment_config(den.replace("eta_norm = 0.1", "")).sweep_axis == "sigma"
     assert parse_experiment_config(den.replace("0.0, 0.1", "0.0")).eta_norm == 0.1
+
+
+_DEN_SIGMA = (("kind = CS", "kind = DEN"), ("sweep = m", "sweep = sigma"),
+              ("eta_norm = 0.1", ""))
+# (ExperimentSpec overrides of small_spec, config edits or None, the error)
+UNBUILDABLE_GRIDS = [
+    # the sweep would replace the given value in every cell
+    (dict(sigma=0.3), _DEN_SIGMA[:2] + (("eta_norm = 0.1", "sigma = 0.3"),
+                                        ("values = 100, 200", "values = 0.0, 0.1")),
+     "sigma is swept, so it must not also be given, got sigma = 0.3"),
+    (dict(kind="CS", sweep_axis="m", sweep_values=(10, 20), m=50),
+     (("eta_norm = 0.1", "eta_norm = 0.1\nm = 50"),),
+     "m is swept, so it must not also be given, got m = 50"),
+    # no cell could build its instance
+    (dict(kind="CS", sweep_axis="width", sweep_values=(20, 30)),
+     (("sweep = m", "sweep = width"), ("values = 100, 200", "values = 20, 30")),
+     "kind CS needs m"),
+    (dict(kind="PR", sweep_axis="width", sweep_values=(20, 30)),
+     (("kind = CS", "kind = PR"), ("sweep = m", "sweep = width"),
+      ("values = 100, 200", "values = 20, 30")),
+     "kind PR needs m"),
+    (dict(kind="SPIKED_WISHART"),
+     _DEN_SIGMA[1:] + (("kind = CS", "kind = SPIKED_WISHART"),
+                       ("values = 100, 200", "values = 0.0, 0.1")),
+     "kind SPIKED_WISHART needs n_samples"),
+    (dict(sweep_values=(-0.1, 0.1)), _DEN_SIGMA + (("values = 100, 200", "values = -0.1, 0.1"),),
+     "sigma must be finite and nonnegative, got -0.1"),
+    (dict(sweep_values=(math.nan,)), None, "sigma must be finite and nonnegative, got nan"),
+    (dict(kind="CS", sweep_axis="m", sweep_values=(0, 10)),
+     (("values = 100, 200", "values = 0, 100"),), "m must be an integer >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("over,edits,error", UNBUILDABLE_GRIDS, ids=[
+    "sigma-given-and-swept", "m-given-and-swept", "CS-without-m", "PR-without-m",
+    "SPIKED_WISHART-without-n_samples", "negative-sigma", "nan-sigma", "zero-m"])
+def test_unbuildable_grids_are_rejected_before_any_cell(over, edits, error, tmp_path,
+                                                        capsys, monkeypatch):
+    # these used to run, dropping the given value or failing in the first cell
+    with pytest.raises(ValidationError) as exc:
+        small_spec(**over)
+    assert str(exc.value) == error
+    if edits is None:  # a config cannot give a nan value
+        return
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran")
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(harness, "run_cell", no_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+    text = CONFIG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 BAD_RECIPES = ("k=abc d=3", "k=inf d=3", "k=nan d=3", "k=4.7 d=3", "k=4 d=3.5",
@@ -586,6 +647,59 @@ def test_suite_includes_recipe_margins():
 # command line
 # ---------------------------------------------------------------------------
 
+# Every option of every subcommand: {option strings: (dest, type, default,
+# required)}.  Written out per command, so a default that one command's
+# declaration leaks into another's shows here.
+_HELP = {("-h", "--help"): ("help", None, argparse.SUPPRESS, False)}
+_NET_SOURCE = {("--net",): ("net", None, None, False),
+               ("--dims",): ("dims", None, None, False),
+               ("--recipe",): ("recipe", None, None, False),
+               ("--net-seed",): ("net_seed", int, 0, False)}
+_SEED_OUT = {("--seed",): ("seed", int, 0, False), ("--out",): ("out", None, None, False)}
+CLI_SURFACE = {
+    "gen-net": _HELP | _NET_SOURCE | {("--out",): ("out", None, None, True)},
+    "recipe": _HELP | {("--k",): ("k", int, None, True), ("--d",): ("d", int, None, True),
+                       ("--c-bar",): ("c_bar", float, None, False),
+                       ("--alpha-floor",): ("alpha_floor", float, None, False),
+                       ("--out",): ("out", None, None, False)},
+    "solve": _HELP | _NET_SOURCE | _SEED_OUT | {
+        ("--kind",): ("kind", None, None, True),
+        ("--m",): ("m", int, None, False), ("--sigma",): ("sigma", float, None, False),
+        ("--eta-norm",): ("eta_norm", float, None, False),
+        ("--n-samples",): ("n_samples", int, None, False),
+        ("--c-step",): ("c_step", float, None, False),
+        ("--t-max",): ("t_max", int, None, False),
+        ("--rel-step-tol",): ("rel_step_tol", float, None, False),
+        ("--trace-stride",): ("trace_stride", int, 1, False)},
+    "check-wdc": _HELP | _NET_SOURCE | _SEED_OUT | {
+        ("--layer",): ("layer", int, 0, False), ("--samples",): ("samples", int, 200, False)},
+    "check-r2wdc": _HELP | _NET_SOURCE | _SEED_OUT | {
+        ("--layer",): ("layer", int, 0, False), ("--samples",): ("samples", int, 200, False)},
+    "check-rric": _HELP | _NET_SOURCE | _SEED_OUT | {
+        ("--m",): ("m", int, None, True), ("--samples",): ("samples", int, 200, False)},
+    "check-patterns": _HELP | _SEED_OUT | {
+        ("--rows",): ("rows", int, None, True), ("--cols",): ("cols", int, None, True),
+        ("--ell",): ("ell", int, 2, False)},
+    "conditions": _HELP | _NET_SOURCE | _SEED_OUT | {
+        ("--samples",): ("samples", int, 50, False), ("--pairs",): ("pairs", int, None, False),
+        ("--eps-ref",): ("eps_ref", float, None, False)},
+    "experiment": _HELP | {("--config",): ("config", None, None, True),
+                           ("--out",): ("out", None, None, False),
+                           ("--jobs",): ("jobs", int, None, False)},
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for name, p in sub.choices.items():
+        got = {tuple(a.option_strings): (a.dest, a.type, a.default, a.required)
+               for a in p._actions}
+        assert len(got) == len(p._actions), name
+        assert got == CLI_SURFACE[name], name
+
+
 def test_cli_gen_net_roundtrip(tmp_path, capsys):
     out = tmp_path / "net.bin"
     assert main(["gen-net", "--dims", "4,40,30", "--net-seed", "2",
@@ -690,9 +804,9 @@ def test_cli_exit_codes(tmp_path, capsys):
                      flag, "inf"]) == 1
         assert field in capsys.readouterr().err
     # validation: a kind run without the count it needs names the flag
-    for kind, flag in (("SPIKED_WISHART", "--n-samples"), ("CS", "--m"), ("PR", "--m")):
+    for kind, flag in (("SPIKED_WISHART", "n_samples"), ("CS", "m"), ("PR", "m")):
         assert main(["solve", "--net", str(net), "--kind", kind, "--t-max", "3"]) == 1
-        assert capsys.readouterr().err == f"error: --kind {kind} needs {flag}\n"
+        assert capsys.readouterr().err == f"error: kind {kind} needs {flag}\n"
 
 
 def test_cli_rejects_bad_sizes_and_stride(tmp_path, capsys):
