@@ -11,11 +11,12 @@ import argparse
 import sys
 
 from .conditions import (_PATTERN_MAX_ROWS, _csv_text, _write_text, pattern_count_exact,
-                         r2wdc_deviation, reports_csv_text, rric_deviation, wdc_deviation)
+                         r2wdc_deviation, reports_csv_text, rric_deviation,
+                         run_condition_suite, wdc_deviation)
 from .errors import DivergenceError, InfeasibleError, ValidationError, check_count
 from .harness import (_INSTANCE_KEYS, _SOLVER_KEYS, _parse_ints, _parse_recipe,
-                      experiment_csv_text, parse_experiment_config, run_condition_suite,
-                      run_experiment, summary_csv_text, summary_path_for)
+                      experiment_csv_text, parse_experiment_config, run_experiment,
+                      summary_csv_text, summary_path_for)
 from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
 from .rng import DOMAIN_SAMPLE, sub_rng
 from .solvers import (KINDS, SolverConfig, _instance_row, make_instance,
@@ -154,7 +155,7 @@ def _patterns(args):
 def _conditions(args):
     net, recipe = _net_from_args(args)
     reports = run_condition_suite(net, args.samples, args.seed, recipe=recipe,
-                                  **_given(args, "eps_ref", "pairs"))
+                                  **_given(args, "pairs"))
     n_rows = sum(1 for r in reports for _ in r.rows())
     return reports, f"collected {n_rows} condition rows on dims={net.dims}"
 
@@ -237,7 +238,6 @@ def build_parser():
                        parents=[source, seeded])
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--pairs", type=int)
-    p.add_argument("--eps-ref", type=float)
     p.set_defaults(func=_report, build=_conditions)
 
     p = sub.add_parser("experiment", help="run a sweep described by a config")

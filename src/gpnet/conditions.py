@@ -154,6 +154,8 @@ def masked_gram_deviation(w, r, s):
     rf = np.linalg.qr(np.concatenate((b, dm.frame)).T, mode="r")
     r1, r2 = rf[:, :len(b)], rf[:, len(b):]
     core = r1 @ r1.T - r2 @ dm.core @ r2.T - dm.a * np.eye(len(rf))
+    if not np.isfinite(core).all():  # w too large for float64
+        return math.inf
     dev = spectral_norm((core + core.T) / 2.0)
     if len(rf) < w.shape[1]:
         dev = max(dev, dm.a)
@@ -166,12 +168,20 @@ def _sampled_report(kind, layer, samples, seed, value, **aux):
     Sample j calls value on its own sub-stream (seed, sample-domain, j),
     so enlarging samples only appends tuples and the reported maximum is
     monotone in samples.  value returns None for a tuple that falls under
-    the denominator guard; such tuples are skipped and counted.  aux
-    follows the median in the report's aux.
+    the denominator guard; such tuples are skipped and counted.  A value
+    that overflowed float64 (inf or nan) raises a ValidationError naming
+    kind and the sample.  aux follows the median in the report's aux.
     """
     layer = check_count(layer, "layer", least=0)
     samples = check_count(samples, "samples")
-    vals = [value(sub_rng(seed, DOMAIN_SAMPLE, j)) for j in range(samples)]
+    vals = []
+    with np.errstate(over="ignore", invalid="ignore"):  # checked value by value below
+        for j in range(samples):
+            v = value(sub_rng(seed, DOMAIN_SAMPLE, j))
+            if v is not None and not math.isfinite(v):
+                raise ValidationError(f"{kind} sample {j} is {float(v)!r}, not finite; "
+                                      "the net or matrix overflows float64")
+            vals.append(v)
     kept = np.asarray([v for v in vals if v is not None])
     if not kept.size:
         raise ValidationError("all sampled tuples were degenerate")
@@ -212,9 +222,11 @@ def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
     u, v are the layer inputs generated by x, y and a, b are differences
     of layer inputs generated by x1..x4.  Each latent goes through the
     first i - 1 layers only.  Returns None when a or b falls under the
-    denominator guard.
+    denominator guard.  layer must be in 1..depth.
     """
     i = check_count(layer, "layer")
+    if i > net.depth:
+        raise ValidationError(f"layer must be in 1..{net.depth}, got {i}")
     w = net.weights[i - 1]
     gu, gv, g1, g2, g3, g4 = (
         _layer_input(net, i, v, name) for v, name in
@@ -244,13 +256,10 @@ def r2wdc_deviation(net, layer, samples, seed):
     (seed, sample-domain, j); tuples whose range differences fall under
     the 1e-12 denominator guard are skipped and counted.
     """
-    i = check_count(layer, "layer")
-    if i > net.depth:
-        raise ValidationError(f"layer must be in 1..{net.depth}, got {i}")
     return _sampled_report(
-        "R2WDC", i, samples, seed,
-        lambda rng: r2wdc_tuple_value(net, i, *(rng.standard_normal(net.k)
-                                                for _ in range(6))))
+        "R2WDC", layer, samples, seed,
+        lambda rng: r2wdc_tuple_value(net, layer, *(rng.standard_normal(net.k)
+                                                    for _ in range(6))))
 
 
 @one_blas_thread()
@@ -477,12 +486,26 @@ def log_piece_count_bounds(dims):
 # linearization concentration
 # ---------------------------------------------------------------------------
 
-def check_eps_ref(eps_ref):
-    """eps_ref as a float, when it is finite and > 0; a ValidationError otherwise."""
-    eps = float(eps_ref)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValidationError(f"eps_ref must be finite and positive, got {eps_ref!r}")
-    return eps
+REF_EPS = 0.2  # the per-layer deviation eps that every reference level is stated at
+
+
+def _reference_levels(d, names):
+    """{name: reference level} for each named statistic of the checks
+    below on a depth-d net, at eps = REF_EPS, where a _max or _min suffix
+    names a statistic's worst case over pairs.  A band holds one level
+    per layer j = 1..d.  Every level is written here and only here."""
+    eps = REF_EPS
+    levels = {"angle_residual": 4.0 * math.sqrt(eps),
+              "inner_scaled": 1.0 / (4.0 * math.pi),
+              "htilde_gap": 24.0 * d ** 3 * math.sqrt(eps),
+              "gram_gap": 4.0 * eps * d,
+              "sq_norm_scaled": 13.0 / 12.0,
+              "lipschitz_ratio": 1.2,
+              "convexity_residual": 1.0 / 16.0 + 0.05,
+              "band_low": tuple((0.5 - eps) ** j for j in range(1, d + 1)),
+              "band_high": tuple((0.5 + eps) ** j for j in range(1, d + 1))}
+    return {name: levels[name.removesuffix("_max").removesuffix("_min")]
+            for name in names}
 
 
 def _require_off_boundary(net, x, name):
@@ -493,7 +516,7 @@ def _require_off_boundary(net, x, name):
                 "perturb it and retry")
 
 
-def lambda_concentration(net, x, y, eps_ref=0.2):
+def lambda_concentration(net, x, y):
     """Concentration of the end-to-end linearization at x against pair y.
 
     aux statistics (all scaled by 2^d so their targets are depth-free):
@@ -501,7 +524,6 @@ def lambda_concentration(net, x, y, eps_ref=0.2):
       sq_norm_scaled 2^d lambda_max(Lambda_x^T Lambda_x),      target 13/12
       htilde_gap     2^d |Lambda_x^T G(y) - h_tilde| / |y|,    target 24 d^3 sqrt(eps)
     """
-    eps = check_eps_ref(eps_ref)
     x = check_array(x, "x", (net.k,))
     y = check_array(y, "y", (net.k,))
     if np.linalg.norm(x) == 0.0 or np.linalg.norm(y) == 0.0:
@@ -517,14 +539,12 @@ def lambda_concentration(net, x, y, eps_ref=0.2):
     prof = angle_profile(x, y, d)
     s3 = scale * float(np.linalg.norm(lam.T @ gy - prof.h_tilde)) \
         / float(np.linalg.norm(y))
-    return ConditionReport(
-        kind="LAMBDA_CONC", samples=1,
-        aux={"gram_gap": s1, "sq_norm_scaled": s2, "htilde_gap": s3},
-        targets={"gram_gap": 4.0 * eps * d, "sq_norm_scaled": 13.0 / 12.0,
-                 "htilde_gap": 24.0 * d ** 3 * math.sqrt(eps)})
+    aux = {"gram_gap": s1, "sq_norm_scaled": s2, "htilde_gap": s3}
+    return ConditionReport(kind="LAMBDA_CONC", samples=1, aux=aux,
+                           targets=_reference_levels(d, aux))
 
 
-def norm_angle_report(net, x, y, eps_ref=0.2):
+def norm_angle_report(net, x, y):
     """Layerwise norm decay and angle contraction for one latent pair.
 
     Per layer j: norm_sq_ratio = |G_j(x)|^2 / |x|^2 with its expected band
@@ -534,7 +554,6 @@ def norm_angle_report(net, x, y, eps_ref=0.2):
     floor 1/(4 pi)) and its gap to the h_tilde prediction (target
     24 d^3 sqrt(eps)).  The report is scale invariant in x and y.
     """
-    eps = check_eps_ref(eps_ref)
     outs_x = forward(net, x)
     outs_y = forward(net, y)
     nx = float(np.linalg.norm(outs_x[0]))
@@ -547,8 +566,6 @@ def norm_angle_report(net, x, y, eps_ref=0.2):
             raise ValidationError(f"layer {j} output collapsed to zero")
     ratios = tuple(float(np.dot(outs_x[j], outs_x[j])) / nx ** 2
                    for j in range(1, d + 1))
-    lo = tuple((0.5 - eps) ** j for j in range(1, d + 1))
-    hi = tuple((0.5 + eps) ** j for j in range(1, d + 1))
     thetas = [angle_between(outs_x[j], outs_y[j]) for j in range(d + 1)]
     residuals = tuple(abs(thetas[j] - g_theta(thetas[j - 1]))
                       for j in range(1, d + 1))
@@ -557,41 +574,38 @@ def norm_angle_report(net, x, y, eps_ref=0.2):
     prof = angle_profile(outs_x[0], outs_y[0], d)
     htilde_gap = scale * abs(float(np.dot(outs_x[-1], outs_y[-1]))
                              - float(np.dot(outs_x[0], prof.h_tilde))) / (nx * ny)
+    aux = {"inner_scaled": inner_scaled, "htilde_gap": htilde_gap}
     return ConditionReport(
         kind="NORM_ANGLE", layers=tuple(range(1, d + 1)),
         eps_by_layer=residuals, headline="angle_residual", samples=1,
-        per_layer={"norm_sq_ratio": ratios, "band_low": lo, "band_high": hi},
-        aux={"inner_scaled": inner_scaled, "htilde_gap": htilde_gap},
-        targets={"angle_residual": 4.0 * math.sqrt(eps),
-                 "inner_scaled": 1.0 / (4.0 * math.pi),
-                 "htilde_gap": 24.0 * d ** 3 * math.sqrt(eps)})
+        per_layer={"norm_sq_ratio": ratios,
+                   **_reference_levels(d, ("band_low", "band_high"))},
+        aux=aux, targets=_reference_levels(d, ("angle_residual", *aux)))
 
 
 @dataclass(frozen=True)
 class LipschitzResult:
     """Scaled layerwise difference ratios 2^{i/2} |G_i(x) - G_i(y)| / |x - y|.
 
-    in_ball says whether |x - y| <= d sqrt(eps_ref) |y|.  The 1.2 bound
-    is proved inside that ball and for a small per-layer deviation of
-    the masked Grams from I/2 on the range; the k=4 d=3 c_bar=2 recipe
-    widths do not meet the second hypothesis.  The ratios are reported
-    either way.
+    in_ball says whether |x - y| <= d sqrt(eps) |y|.  The bound of 1.2
+    (the lipschitz_ratio reference level) is proved inside that ball and
+    for a small per-layer deviation of the masked Grams from I/2 on the
+    range; the k=4 d=3 c_bar=2 recipe widths do not meet the second
+    hypothesis.  The ratios are reported either way.
     """
 
     ratios: tuple
     in_ball: bool
-    bound: float = 1.2
 
 
-def lipschitz_check(net, x, y, eps_ref=0.2):
-    eps = check_eps_ref(eps_ref)
+def lipschitz_check(net, x, y):
     outs_x = forward(net, x)
     outs_y = forward(net, y)
     diff = float(np.linalg.norm(outs_x[0] - outs_y[0]))
     d = net.depth
     if diff == 0.0:
         return LipschitzResult(ratios=(0.0,) * d, in_ball=True)
-    in_ball = diff <= d * math.sqrt(eps) * float(np.linalg.norm(outs_y[0]))
+    in_ball = diff <= d * math.sqrt(REF_EPS) * float(np.linalg.norm(outs_y[0]))
     ratios = tuple(2.0 ** (i / 2.0)
                    * float(np.linalg.norm(outs_x[i] - outs_y[i])) / diff
                    for i in range(1, d + 1))
@@ -620,6 +634,74 @@ def convexity_direction_check(net, x, y):
     diff = x - y
     return float(np.linalg.norm(2.0 ** net.depth * v - diff)
                  / np.linalg.norm(diff))
+
+
+# ---------------------------------------------------------------------------
+# condition suite
+# ---------------------------------------------------------------------------
+
+@one_blas_thread()
+def run_condition_suite(net, samples, seed, pairs=25, recipe=None):
+    """All net-only condition checks bundled into one report list.
+
+    Per layer: classic and range-restricted gram deviations over
+    `samples` draws.  Over `pairs` Gaussian latent pairs: worst-case
+    norm/angle statistics, linearization concentration, and (on a nearby
+    second point) difference ratios and the descent-direction residual.
+    A final PATTERN_COUNT report carries the log affine-piece bounds per
+    partial depth, plus the width-recipe margins when recipe is given.
+    The suite runs on one BLAS thread, as the checks it bundles do.
+    """
+    samples = check_count(samples, "samples")
+    pairs = check_count(pairs, "pairs")
+    d = net.depth
+    layers = tuple(range(1, d + 1))
+    reports = [wdc_deviation(net.weights[i - 1], samples, seed, layer=i) for i in layers]
+    reports += [r2wdc_deviation(net, i, samples, seed) for i in layers]
+
+    nas, lcs, lips, convs = [], [], [], []
+    for j in range(pairs):
+        rng = sub_rng(seed, DOMAIN_SAMPLE, j)
+        x = rng.standard_normal(net.k)
+        y = rng.standard_normal(net.k)
+        near = x + 0.05 * float(np.linalg.norm(x)) * unit_vector(rng, net.k)
+        nas.append(norm_angle_report(net, x, y))
+        lcs.append(lambda_concentration(net, x, y))
+        lips.append(lipschitz_check(net, x, near))
+        convs.append(convexity_direction_check(net, x, near))
+    ratios = np.array([r.per_layer["norm_sq_ratio"] for r in nas])
+
+    aux = {"inner_scaled_min": min(r.aux["inner_scaled"] for r in nas),
+           "htilde_gap_max": max(r.aux["htilde_gap"] for r in nas)}
+    reports.append(ConditionReport(
+        kind="NORM_ANGLE", layers=layers,
+        eps_by_layer=tuple(np.max([r.eps_by_layer for r in nas], axis=0)),
+        headline="angle_residual", samples=pairs, seed=int(seed),
+        per_layer={"norm_sq_ratio_min": tuple(ratios.min(axis=0)),
+                   "norm_sq_ratio_max": tuple(ratios.max(axis=0)),
+                   **_reference_levels(d, ("band_low", "band_high")),
+                   "lipschitz_ratio_max": tuple(np.max([r.ratios for r in lips],
+                                                       axis=0))},
+        aux=aux, targets=_reference_levels(
+            d, ("angle_residual", "lipschitz_ratio_max", *aux))))
+    aux = {"gram_gap_max": max(r.aux["gram_gap"] for r in lcs),
+           "sq_norm_scaled_max": max(r.aux["sq_norm_scaled"] for r in lcs),
+           "convexity_residual_max": max(convs)}
+    reports.append(ConditionReport(kind="LAMBDA_CONC", samples=pairs, seed=int(seed),
+                                   aux=aux, targets=_reference_levels(d, aux)))
+
+    aux = {}
+    per_layer = {}
+    if recipe is not None:
+        aux["recipe_alpha"] = recipe.alpha
+        per_layer["recipe_expansivity_margin"] = recipe.expansivity_margin
+        per_layer["recipe_width_margin"] = recipe.width_margin
+    reports.append(ConditionReport(
+        kind="PATTERN_COUNT", layers=layers,
+        eps_by_layer=log_piece_count_bounds(net.dims),
+        headline="log_piece_bound", samples=0, seed=int(seed),
+        per_layer=per_layer, aux=aux))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -55,33 +55,14 @@ _QLIP_CONST = 2.0 / math.pi + 2.0 * math.sqrt(79.0)
 
 
 def spectral_norm(mat):
-    """Largest singular value.
-
-    Dense decompositions up to side 2000 (eigendecomposition when the
-    matrix is exactly symmetric, SVD otherwise), deterministic power
-    iteration on A^T A beyond that (relative tolerance 1e-9, at most
-    10^4 iterations).
-    """
+    """Largest singular value, from a dense decomposition: the
+    eigenvalues when the matrix is exactly symmetric, the SVD otherwise."""
     mat = check_array(mat, "mat", (None, None))
     if mat.size == 0:
         return 0.0
-    if max(mat.shape) <= 2000:
-        if mat.shape[0] == mat.shape[1] and np.array_equal(mat, mat.T):
-            return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-        return float(np.linalg.norm(mat, 2))
-    v = np.ones(mat.shape[1]) / math.sqrt(mat.shape[1])
-    est = 0.0
-    for _ in range(10000):
-        w = mat.T @ (mat @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new_est = math.sqrt(nw)  # ||A^T A v|| -> sigma_max^2 at convergence
-        v = w / nw
-        if abs(new_est - est) <= 1e-9 * max(new_est, 1.0):
-            return new_est
-        est = new_est
-    return est
+    if mat.shape[0] == mat.shape[1] and np.array_equal(mat, mat.T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+    return float(np.linalg.norm(mat, 2))
 
 
 def angle_between(x, y):

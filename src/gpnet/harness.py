@@ -1,4 +1,4 @@
-"""Seeded experiment sweeps and condition suites with stable CSV output.
+"""Seeded experiment sweeps with stable CSV output.
 
 An experiment is a grid (sweep value) x (seed).  Each cell builds its
 net and instance deterministically from the cell coordinates, so cells
@@ -53,13 +53,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blas import blas_threads, one_blas_thread, set_blas_threads
-from .conditions import (ConditionReport, _csv_text, check_eps_ref, lambda_concentration,
-                         lipschitz_check, convexity_direction_check, log_piece_count_bounds,
-                         norm_angle_report, r2wdc_deviation, wdc_deviation)
+from .blas import blas_threads, set_blas_threads
+from .conditions import _csv_text
 from .errors import DivergenceError, ValidationError, check_count
 from .net import check_dims, contractive_example_dims, sample_gaussian_net
-from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
 from .solvers import SolverConfig, _instance_row, make_instance, solve
 
 
@@ -244,11 +241,9 @@ def summary_csv_text(summary):
 
 
 def summary_path_for(path):
-    path = str(path)
-    root, dot, ext = path.rpartition(".")
-    if dot:
-        return f"{root}_summary.{ext}"
-    return path + "_summary"
+    """path with _summary before the file name's extension, if it has one."""
+    root, ext = os.path.splitext(str(path))
+    return f"{root}_summary{ext}"
 
 
 # ---------------------------------------------------------------------------
@@ -382,79 +377,3 @@ def parse_experiment_config(text):
         **given,
         solver=solver,
         out=out)
-
-
-# ---------------------------------------------------------------------------
-# condition suite
-# ---------------------------------------------------------------------------
-
-@one_blas_thread()
-def run_condition_suite(net, samples, seed, eps_ref=0.2, pairs=25, recipe=None):
-    """All net-only condition checks bundled into one report list.
-
-    Per layer: classic and range-restricted gram deviations over
-    `samples` draws.  Over `pairs` Gaussian latent pairs: worst-case
-    norm/angle statistics, linearization concentration, and (on a nearby
-    second point) difference ratios and the descent-direction residual.
-    A final PATTERN_COUNT report carries the log affine-piece bounds per
-    partial depth, plus the width-recipe margins when recipe is given.
-    The suite runs on one BLAS thread, as the checks in gpnet.conditions do.
-    """
-    samples = check_count(samples, "samples")
-    pairs = check_count(pairs, "pairs")
-    eps = check_eps_ref(eps_ref)
-    layers = tuple(range(1, net.depth + 1))
-    reports = [wdc_deviation(net.weights[i - 1], samples, seed, layer=i) for i in layers]
-    reports += [r2wdc_deviation(net, i, samples, seed) for i in layers]
-
-    nas, lcs, lips, convs = [], [], [], []
-    for j in range(pairs):
-        rng = sub_rng(seed, DOMAIN_SAMPLE, j)
-        x = rng.standard_normal(net.k)
-        y = rng.standard_normal(net.k)
-        near = x + 0.05 * float(np.linalg.norm(x)) * unit_vector(rng, net.k)
-        nas.append(norm_angle_report(net, x, y, eps_ref=eps))
-        lcs.append(lambda_concentration(net, x, y, eps_ref=eps))
-        lips.append(lipschitz_check(net, x, near, eps_ref=eps))
-        convs.append(convexity_direction_check(net, x, near))
-    # targets and bands depend on the net and eps_ref only: take the last pair's
-    na, lc, lip = nas[-1], lcs[-1], lips[-1]
-    ratios = np.array([r.per_layer["norm_sq_ratio"] for r in nas])
-
-    reports.append(ConditionReport(
-        kind="NORM_ANGLE", layers=layers,
-        eps_by_layer=tuple(np.max([r.eps_by_layer for r in nas], axis=0)),
-        headline="angle_residual", samples=pairs, seed=int(seed),
-        per_layer={"norm_sq_ratio_min": tuple(ratios.min(axis=0)),
-                   "norm_sq_ratio_max": tuple(ratios.max(axis=0)),
-                   "band_low": na.per_layer["band_low"],
-                   "band_high": na.per_layer["band_high"],
-                   "lipschitz_ratio_max": tuple(np.max([r.ratios for r in lips],
-                                                       axis=0))},
-        aux={"inner_scaled_min": min(r.aux["inner_scaled"] for r in nas),
-             "htilde_gap_max": max(r.aux["htilde_gap"] for r in nas)},
-        targets={"angle_residual": na.targets["angle_residual"],
-                 "lipschitz_ratio_max": lip.bound,
-                 "inner_scaled_min": na.targets["inner_scaled"],
-                 "htilde_gap_max": na.targets["htilde_gap"]}))
-    reports.append(ConditionReport(
-        kind="LAMBDA_CONC", samples=pairs, seed=int(seed),
-        aux={"gram_gap_max": max(r.aux["gram_gap"] for r in lcs),
-             "sq_norm_scaled_max": max(r.aux["sq_norm_scaled"] for r in lcs),
-             "convexity_residual_max": max(convs)},
-        targets={"gram_gap_max": lc.targets["gram_gap"],
-                 "sq_norm_scaled_max": lc.targets["sq_norm_scaled"],
-                 "convexity_residual_max": 1.0 / 16.0 + 0.05}))
-
-    aux = {}
-    per_layer = {}
-    if recipe is not None:
-        aux["recipe_alpha"] = recipe.alpha
-        per_layer["recipe_expansivity_margin"] = recipe.expansivity_margin
-        per_layer["recipe_width_margin"] = recipe.width_margin
-    reports.append(ConditionReport(
-        kind="PATTERN_COUNT", layers=layers,
-        eps_by_layer=log_piece_count_bounds(net.dims),
-        headline="log_piece_bound", samples=0, seed=int(seed),
-        per_layer=per_layer, aux=aux))
-    return reports

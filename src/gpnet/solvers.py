@@ -172,10 +172,12 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
         x_star = check_array(x_star, "x_star", (net.k,))
         if not np.linalg.norm(x_star) > 0.0:
             raise ValidationError("x_star must be a nonzero latent vector")
-    y_star = forward(net, x_star)[-1]
     args = {a: v for a, v in given.items() if v is not None} | {"sigma": float(sigma)}
-    return Instance(kind=kind, net=net, x_star=x_star, y_star=y_star,
-                    **row.build(y_star, seed, **args))
+    # a net or noise too large for float64 overflows to entries that Instance rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_star = forward(net, x_star)[-1]
+        data = row.build(y_star, seed, **args)
+    return Instance(kind=kind, net=net, x_star=x_star, y_star=y_star, **data)
 
 
 def _plus_noise(clean, seed, eta=None, eta_norm=None, sigma=0.0):
@@ -223,7 +225,7 @@ def _wishart_build(y_star, seed, n_samples=None, sigma=0.0):
     raw = z.T @ z
     del z
     raw /= n_samples
-    raw[np.diag_indices(n_out)] -= sigma ** 2
+    raw[np.diag_indices(n_out)] -= np.float64(sigma) ** 2  # inf, not an OverflowError
     m_obs = raw + raw.T
     m_obs /= 2.0
     return {"m_obs": m_obs}

@@ -11,7 +11,7 @@ from gpnet.conditions import (ConditionReport, _write_text, activation_gram_mc,
                               masked_gram_deviation, noise_coupling,
                               norm_angle_report, omega, pattern_count_exact,
                               r2wdc_deviation, r2wdc_tuple_value, reports_csv_text,
-                              rric_deviation, wdc_deviation)
+                              rric_deviation, run_condition_suite, wdc_deviation)
 from gpnet import blas, conditions
 from gpnet.errors import ValidationError
 from gpnet.geometry import DistortionMatrix, q_matrix, spectral_norm
@@ -280,6 +280,23 @@ def test_r2wdc_layer_validation():
         r2wdc_deviation(net, 0, samples=10, seed=0)
     with pytest.raises(ValidationError):
         r2wdc_deviation(net, 3, samples=10, seed=0)
+    x = np.ones(4)
+    with pytest.raises(ValidationError, match=r"layer must be in 1\.\.2, got 3"):
+        r2wdc_tuple_value(net, net.depth + 1, x, -x, x, 2 * x, -x, 3 * x)
+
+
+@pytest.mark.parametrize("kind,check", [
+    ("WDC", lambda net: wdc_deviation(net.weights[0], 2, 0)),
+    ("R2WDC", lambda net: r2wdc_deviation(net, 2, 2, 0)),
+    ("RRIC", lambda net: rric_deviation(np.eye(30), net, 2, 0))], ids=["WDC", "R2WDC", "RRIC"])
+def test_sampled_checks_reject_overflowing_nets(kind, check):
+    # weights of 1e200 used to give an R2WDC of nan, an RRIC of "all
+    # degenerate" and a WDC "mat" error, each after RuntimeWarnings
+    small = sample_gaussian_net((3, 20, 30), 0)
+    net = GenerativeNet(dims=small.dims, weights=tuple(np.full(w.shape, 1e200)
+                                                       for w in small.weights))
+    with pytest.raises(ValidationError, match=rf"^{kind} sample \d+ is (inf|nan), not finite"):
+        check(net)
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +675,36 @@ def test_norm_angle_scale_invariance():
 def test_norm_angle_band_structure():
     net = desk_net()
     rep = norm_angle_report(net, np.array([1.0, 0.2, -0.3, 0.5]),
-                            np.array([0.1, -1.0, 0.4, 0.2]), eps_ref=0.2)
+                            np.array([0.1, -1.0, 0.4, 0.2]))
     for j, (lo, hi) in enumerate(zip(rep.per_layer["band_low"],
                                      rep.per_layer["band_high"]), start=1):
         assert abs(lo - 0.3 ** j) < 1e-12
         assert abs(hi - 0.7 ** j) < 1e-12
+
+
+def test_suite_reference_levels_have_their_closed_forms():
+    # every target and band cell of the suite, against its closed form at eps = 0.2
+    net = sample_gaussian_net((4, 60, 50, 40), 0)
+    text = reports_csv_text(run_condition_suite(net, 2, 0, pairs=2))
+    eps, d, layers = 0.2, 3, (1, 2, 3)
+    targets, bands = {}, {}
+    for r in csv.DictReader(io.StringIO(text)):
+        if r["statistic"] in ("band_low", "band_high"):
+            bands[r["statistic"], int(r["layer"])] = float(r["value"])
+        elif r["target"] != "nan":
+            targets[r["condition"], r["statistic"], int(r["layer"])] = float(r["target"])
+    want = {("NORM_ANGLE", "angle_residual", j): 4 * math.sqrt(eps) for j in layers}
+    want |= {("NORM_ANGLE", "lipschitz_ratio_max", j): 1.2 for j in layers}
+    want |= {("NORM_ANGLE", "inner_scaled_min", 0): 1 / (4 * math.pi),
+             ("NORM_ANGLE", "htilde_gap_max", 0): 24 * d ** 3 * math.sqrt(eps),
+             ("LAMBDA_CONC", "gram_gap_max", 0): 4 * eps * d,
+             ("LAMBDA_CONC", "sq_norm_scaled_max", 0): 13 / 12,
+             ("LAMBDA_CONC", "convexity_residual_max", 0): 1 / 16 + 0.05}
+    assert targets == pytest.approx(want, rel=1e-15)
+    assert bands == pytest.approx(
+        {(side, j): (0.5 + sign * eps) ** j
+         for side, sign in (("band_low", -1), ("band_high", 1)) for j in layers},
+        rel=1e-15)
 
 
 def test_lipschitz_identical_points():
@@ -683,17 +725,6 @@ def test_lipschitz_identity_like_layer():
     # G moves exactly like the identity on the positive orthant, so the
     # scaled ratio is sqrt(2)
     assert abs(res.ratios[0] - math.sqrt(2.0)) < 1e-12
-
-
-@pytest.mark.parametrize("eps_ref", [math.nan, math.inf, -1.0, 0.0])
-@pytest.mark.parametrize("check", [norm_angle_report, lambda_concentration,
-                                   lipschitz_check])
-def test_checks_reject_bad_eps_ref(check, eps_ref):
-    # nan used to give NaN targets, and -1 a bare math domain error
-    net = sample_gaussian_net((4, 60, 50), 0)
-    x, y = sub_rng(0, DOMAIN_SAMPLE, 0).standard_normal((2, 4))
-    with pytest.raises(ValidationError, match="eps_ref must be finite and positive"):
-        check(net, x, y, eps_ref=eps_ref)
 
 
 def test_convexity_requires_distinct_points():

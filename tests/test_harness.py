@@ -15,11 +15,10 @@ import pytest
 
 from gpnet import blas, cli, harness, net as gnet
 from gpnet.cli import main
-from gpnet.conditions import log_piece_count_bounds
+from gpnet.conditions import log_piece_count_bounds, run_condition_suite
 from gpnet.errors import InfeasibleError, ValidationError
 from gpnet.harness import (ExperimentSpec, _cell_dims, experiment_csv_text,
-                           parse_experiment_config, run_cell,
-                           run_condition_suite, run_experiment,
+                           parse_experiment_config, run_cell, run_experiment,
                            summary_csv_text, summary_path_for)
 from gpnet.net import contractive_example_dims, load_net, sample_gaussian_net
 from gpnet.solvers import SolverConfig, make_instance
@@ -323,6 +322,44 @@ def test_unbuildable_grids_are_rejected_before_any_cell(over, edits, error, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,sigma,more", [
+    ("SPIKED_WISHART", "1e155", ["--n-samples", "1"]), ("SPIKED_WIGNER", "1e308", [])])
+def test_cli_solve_overflowing_sigma_exits_1(kind, sigma, more, tmp_path, capsys):
+    # sigma ** 2 used to raise a bare OverflowError, and sigma H to warn first
+    out = tmp_path / "trace.csv"
+    assert main(["solve", "--kind", kind, "--dims", "2,3", "--sigma", sigma, *more,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: instance m_obs contains non-finite entries\n"
+    assert not out.exists()
+
+
+def test_cli_solve_on_an_overflowing_net_exits_1(tmp_path, capsys):
+    # the planted signal's forward pass used to warn before the error
+    small = sample_gaussian_net((2, 3, 4), 0)
+    path = tmp_path / "big.net"
+    gnet.save_net(gnet.GenerativeNet(dims=small.dims, weights=tuple(
+        1e200 * w for w in small.weights)), path)
+    assert main(["solve", "--net", str(path), "--kind", "DEN"]) == 1
+    assert capsys.readouterr().err == "error: instance b contains non-finite entries\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_experiment_overflowing_sigma_exits_1(jobs, tmp_path, capsys):
+    text = CONFIG
+    for old, new in (("kind = CS", "kind = SPIKED_WISHART"), ("sweep = m", "sweep = sigma"),
+                     ("values = 100, 200", "values = 0.1, 1e200"), ("seeds = 0:3", "seeds = 0"),
+                     ("dims = 8, 250, 600", "dims = 2, 3"),
+                     ("eta_norm = 0.1", "n_samples = 1")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == "error: instance m_obs contains non-finite entries\n"
+    assert not out.exists()
+
+
 BAD_RECIPES = ("k=abc d=3", "k=inf d=3", "k=nan d=3", "k=4.7 d=3", "k=4 d=3.5",
                "k=4 d=3 c_bar=inf")
 
@@ -601,6 +638,10 @@ def test_experiment_csv_parses_back():
 def test_summary_path_naming():
     assert summary_path_for("a/b.csv") == "a/b_summary.csv"
     assert summary_path_for("plain") == "plain_summary"
+    # a dot outside the file name is no extension
+    assert summary_path_for("./results") == "./results_summary"
+    assert summary_path_for("out.d/run") == "out.d/run_summary"
+    assert summary_path_for(".hidden") == ".hidden_summary"
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +722,7 @@ CLI_SURFACE = {
         ("--rows",): ("rows", int, None, True), ("--cols",): ("cols", int, None, True),
         ("--ell",): ("ell", int, 2, False)},
     "conditions": _HELP | _NET_SOURCE | _SEED_OUT | {
-        ("--samples",): ("samples", int, 50, False), ("--pairs",): ("pairs", int, None, False),
-        ("--eps-ref",): ("eps_ref", float, None, False)},
+        ("--samples",): ("samples", int, 50, False), ("--pairs",): ("pairs", int, None, False)},
     "experiment": _HELP | {("--config",): ("config", None, None, True),
                            ("--out",): ("out", None, None, False),
                            ("--jobs",): ("jobs", int, None, False)},
@@ -1064,19 +1104,3 @@ def test_solver_config_rejects_nan_step_tolerance(capsys):
     assert main(["solve", "--dims", "4,20,10", "--kind", "DEN", "--t-max", "3",
                  "--rel-step-tol", "nan"]) == 1
     assert "rel_step_tol" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("eps_ref", [math.nan, math.inf, -1.0, 0.0])
-def test_suite_rejects_bad_eps_ref(eps_ref):
-    net = sample_gaussian_net((3, 20, 15), 0)
-    with pytest.raises(ValidationError, match="eps_ref"):
-        run_condition_suite(net, 1, 0, eps_ref=eps_ref, pairs=1)
-
-
-@pytest.mark.parametrize("eps_ref", ["nan", "-1"])
-def test_cli_conditions_rejects_bad_eps_ref(tmp_path, capsys, eps_ref):
-    out = tmp_path / "c.csv"
-    assert main(["conditions", "--dims", "3,20,15", "--samples", "1", "--pairs", "1",
-                 "--eps-ref", eps_ref, "--out", str(out)]) == 1
-    assert "eps_ref" in capsys.readouterr().err
-    assert not out.exists()

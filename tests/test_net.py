@@ -14,10 +14,10 @@ from gpnet.conditions import (activation_gram_mc, convexity_direction_check,
                               lambda_concentration, log_piece_count_bounds,
                               masked_gram_deviation, noise_coupling, omega,
                               pattern_count_exact, r2wdc_deviation, r2wdc_tuple_value,
-                              rric_deviation, wdc_deviation)
+                              rric_deviation, run_condition_suite, wdc_deviation)
 from gpnet.geometry import (angle_between, angle_profile, q_lipschitz_gap, q_matrix,
                             spectral_norm)
-from gpnet.harness import ExperimentSpec, run_condition_suite, run_experiment
+from gpnet.harness import ExperimentSpec, run_experiment
 from gpnet.net import (MAGIC, GenerativeNet, apply_masked_t, check_dims,
                        contractive_example_dims, forward, linear_path, load_net,
                        preactivations, sample_gaussian_net, save_net)
