@@ -17,12 +17,13 @@ from .errors import DivergenceError, InfeasibleError, ValidationError, check_cou
 from .harness import (_INSTANCE_KEYS, _SOLVER_KEYS, _parse_ints, _parse_recipe,
                       experiment_csv_text, parse_experiment_config, run_experiment,
                       summary_csv_text, summary_path_for)
-from .net import contractive_example_dims, load_net, sample_gaussian_net, save_net
+from .net import load_net, sample_gaussian_net, save_net
 from .rng import DOMAIN_SAMPLE, sub_rng
 from .solvers import (KINDS, SolverConfig, _instance_row, make_instance,
                       sensing_matrix, solve)
 
 _PATTERN_MAX_COLS = 10 ** 5  # a 20 x 10^5 draw is 16 MB
+_RECIPE_HELP = "contractive recipe, e.g. 'k=4 d=3 c_bar=2'"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,8 +70,7 @@ def _cmd_gen_net(args):
 
 
 def _cmd_recipe(args):
-    rec = contractive_example_dims(k=args.k, d=args.d,
-                                   **_given(args, "c_bar", "alpha_floor"))
+    rec = _parse_recipe(args.recipe)
     print(f"dims={rec.dims} alpha={rec.alpha!r} escalated={rec.alpha_escalated} "
           f"contractive_layers={rec.contractive_layers}")
     header = ("layer", "width", "expansivity_margin", "width_margin")
@@ -186,7 +186,7 @@ def build_parser():
     source = _Parser(add_help=False)  # the net source
     source.add_argument("--net", help="path to a saved network file")
     source.add_argument("--dims", help="comma separated dims, e.g. 8,250,600")
-    source.add_argument("--recipe", help="contractive recipe, e.g. 'k=4 d=3 c_bar=2'")
+    source.add_argument("--recipe", help=_RECIPE_HELP)
     source.add_argument("--net-seed", type=int, default=0,
                         help="seed for sampling when --dims/--recipe is used")
     seeded = _Parser(add_help=False)
@@ -200,10 +200,7 @@ def build_parser():
     p.set_defaults(func=_cmd_gen_net)
 
     p = sub.add_parser("recipe", help="contractive width recipe and margins")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--c-bar", type=float)
-    p.add_argument("--alpha-floor", type=float)
+    p.add_argument("--recipe", required=True, help=_RECIPE_HELP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_recipe)
 

@@ -19,13 +19,14 @@ bytes do not depend on the caller's thread count.
 """
 
 from dataclasses import dataclass, field
+import functools
 from itertools import islice
 import math
 
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import ValidationError, check_array, check_count
+from .errors import ValidationError, check_addressable, check_array, check_count
 from .geometry import angle_between, angle_profile, g_theta, q_matrix, spectral_norm
 from .net import _layers, apply_masked_t, forward, linear_path, log_growth, preactivations
 from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
@@ -192,6 +193,23 @@ def _sampled_report(kind, layer, samples, seed, value, **aux):
                            aux={"median_deviation": float(np.median(kept)), **aux})
 
 
+def _no_overflow(check):
+    """check, run with numpy's overflow and invalid flags raised instead of
+    warned.  A value past float64 then ends the check in one
+    ValidationError that names it, where the non-finite values would
+    otherwise become a nan or silently zero statistic, or an error that
+    blames an input the caller never passed."""
+    @functools.wraps(check)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return check(*args, **kwargs)
+        except FloatingPointError:
+            raise ValidationError(f"{check.__name__}: the net overflows float64 "
+                                  "at these inputs") from None
+    return guarded
+
+
 @one_blas_thread()
 def wdc_deviation(w, samples, seed, layer=1):
     """Worst masked-Gram deviation of one weight matrix over sampled pairs.
@@ -306,6 +324,7 @@ def omega(dims, m):
 
 
 @one_blas_thread()
+@_no_overflow
 def noise_coupling(net, a, eta, samples, seed):
     """How strongly a fixed noise vector enters the latent geometry.
 
@@ -516,6 +535,7 @@ def _require_off_boundary(net, x, name):
                 "perturb it and retry")
 
 
+@_no_overflow
 def lambda_concentration(net, x, y):
     """Concentration of the end-to-end linearization at x against pair y.
 
@@ -544,6 +564,7 @@ def lambda_concentration(net, x, y):
                            targets=_reference_levels(d, aux))
 
 
+@_no_overflow
 def norm_angle_report(net, x, y):
     """Layerwise norm decay and angle contraction for one latent pair.
 
@@ -598,6 +619,7 @@ class LipschitzResult:
     in_ball: bool
 
 
+@_no_overflow
 def lipschitz_check(net, x, y):
     outs_x = forward(net, x)
     outs_y = forward(net, y)
@@ -612,6 +634,7 @@ def lipschitz_check(net, x, y):
     return LipschitzResult(ratios=ratios, in_ball=bool(in_ball))
 
 
+@_no_overflow
 def convexity_direction_check(net, x, y):
     """Relative residual of the descent-direction identity
 
@@ -721,6 +744,7 @@ def activation_gram_mc(r, s, m, draws, seed):
     m = check_count(m, "m")
     draws = check_count(draws, "draws")
     n = r.shape[0]
+    check_addressable(m, n, f"m gives a {m} x {n} weight matrix")
     rng = sub_rng(seed, DOMAIN_SAMPLE, 0)
     acc = np.zeros((n, n))
     left = draws

@@ -45,6 +45,14 @@ def check_array(value, what, shape):
     return value
 
 
+def check_addressable(rows, cols, what):
+    """Raise a ValidationError, what followed by 'larger than the address
+    space', when a rows x cols float64 matrix cannot be addressed: numpy
+    rejects that size with a ValueError, not a MemoryError."""
+    if rows * cols > np.iinfo(np.intp).max // 8:
+        raise ValidationError(f"{what} larger than the address space")
+
+
 class DivergenceError(RuntimeError):
     """Iterates or losses left the representable range during a solve."""
 

@@ -16,7 +16,7 @@ Config files use INI syntax:
     seeds = 0:20             ; half-open range, or an explicit list 0, 5, 9
 
     [net]
-    dims = 8, 250, 600       ; or recipe = k=4 d=3 c_bar=2 alpha_floor=1
+    dims = 8, 250, 600       ; or recipe = k=4 d=3 c_bar=2
     seed = 11
 
     [instance]               ; those of m, sigma, eta_norm, n_samples the kind takes
@@ -309,14 +309,14 @@ def _parse_seeds(text):
 
 
 def _parse_recipe(text):
-    """DimsRecipe from 'k=4 d=3 c_bar=2 alpha_floor=1' (spaces or commas)."""
+    """DimsRecipe from 'k=4 d=3 c_bar=2' (spaces or commas; c_bar optional)."""
     kv = {}
     for tok in text.replace(",", " ").split():
         key, eq, val = tok.partition("=")
         if not eq:
             raise ValidationError(f"bad recipe token {tok!r}, expected key=value")
         kv[key] = _number(val, f"recipe {key}")
-    extra = set(kv) - {"k", "d", "c_bar", "alpha_floor"}
+    extra = set(kv) - {"k", "d", "c_bar"}
     if extra:
         raise ValidationError(f"unknown recipe keys {sorted(extra)}")
     if "k" not in kv or "d" not in kv:

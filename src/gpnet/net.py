@@ -28,7 +28,8 @@ import os
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError, check_array, check_count
+from .errors import (InfeasibleError, ValidationError, check_addressable, check_array,
+                     check_count)
 from .rng import DOMAIN_NET, sub_rng
 
 MAGIC = b"GPNET1\x00"
@@ -166,8 +167,8 @@ def sample_gaussian_net(dims, seed):
     weights of layer i do not depend on the other layers' sizes.
     """
     dims = check_dims(dims)
-    if any(a * b > np.iinfo(np.intp).max // 8 for a, b in zip(dims, dims[1:])):
-        raise ValidationError("dims give a weight matrix larger than the address space")
+    for a, b in zip(dims, dims[1:]):
+        check_addressable(b, a, "dims give a weight matrix")
     weights = []
     for i in range(len(dims) - 1):
         rng = sub_rng(seed, DOMAIN_NET, i)
@@ -272,26 +273,26 @@ def _recipe_margins(k, d, c_bar, hidden):
     return tuple(exp_margin), tuple(width_margin)
 
 
-def contractive_example_dims(k, d, c_bar=2.0, alpha_floor=1.0):
+def contractive_example_dims(k, d, c_bar=2.0):
     """Widths for a d-layer net over R^k whose tail shrinks layer to layer.
 
-    alpha starts at max(alpha_floor, 2 log(c_bar k)/d^2, log(e^2 c_bar)).
-    When the resulting integer widths fail either growth check (the ceil
-    and the k log k regime make that possible for small k), alpha is
-    escalated to the smallest feasible value by doubling plus bisection,
-    so the returned dims always pass both checks.  k and d are counts
-    (check_count, d at least 2).  Raises ValidationError for a non-finite
-    c_bar or alpha_floor, and InfeasibleError if no alpha up to 2^60 times
-    the floor works or a width overflows.
+    alpha starts at max(1, 2 log(c_bar k)/d^2, log(e^2 c_bar)); the floor
+    of 1 binds only when c_bar < 1/e.  When the resulting integer widths
+    fail either growth check (the ceil and the k log k regime make that
+    possible for small k), alpha is escalated to the smallest feasible
+    value by doubling plus bisection, so the returned dims always pass
+    both checks.  k and d are counts (check_count, d at least 2).  Raises
+    ValidationError for a c_bar that is not positive and finite, and
+    InfeasibleError if no alpha up to 2^60 times the start works or a
+    width overflows.
     """
     k = check_count(k, "recipe k")
     d = check_count(d, "recipe d", least=2)
     c_bar = float(c_bar)
-    alpha_floor = float(alpha_floor)
-    if not (0.0 < c_bar < math.inf and 0.0 < alpha_floor < math.inf):
-        raise ValidationError("c_bar and alpha_floor must be positive and finite")
+    if not 0.0 < c_bar < math.inf:
+        raise ValidationError("c_bar must be positive and finite")
 
-    base = max(alpha_floor,
+    base = max(1.0,
                2.0 * math.log(c_bar * k) / d ** 2,
                math.log(math.e ** 2 * c_bar))
 

@@ -13,9 +13,13 @@ the planted latent (y_star = G(x_star)):
 The loss landscape has a spurious stationary region near a negative
 multiple of x_star; each iteration therefore first flips the sign of the
 iterate whenever f(-x) < f(x), then steps along the subgradient
-Lambda_x^T (...) with rate alpha = c_step 2^d / d^2.  For wide enough
-random nets the distance to x_star contracts like 1 - (7/8) alpha / 2^d
-per step until the noise floor.
+Lambda_x^T (...) with rate alpha = c_step 2^d / d^2.  The CS analysis
+proves that the distance to x_star contracts like 1 - (7/8) alpha / 2^d
+per step, down to the noise floor, when 2^d lambda_min(H) >= 7/8 for
+H = Lambda_x^T A^T A Lambda_x on the iterate's linear piece.  That is a
+bound of the analysis, not what a solve does: nets a few hundred units
+wide miss the condition and contract more slowly, and the spiked losses
+have another H.
 
 An iteration costs at most three sweeps through the net: one forward
 sweep at x and, unless a Lipschitz certificate proves that the flip
@@ -51,7 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError, check_array, check_count
+from .errors import (DivergenceError, ValidationError, check_addressable, check_array,
+                     check_count)
 from .conditions import _csv_text
 from .net import GenerativeNet, _fields_eq, _gamma, apply_masked_t, forward
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
@@ -110,6 +115,7 @@ def sensing_matrix(m, n_out, seed):
     """The m x n_out sensing matrix of CS and PR: N(0, 1/m) entries drawn
     from the sub-stream (seed, DOMAIN_INSTANCE, _A_MAT)."""
     m = check_count(m, "m")
+    check_addressable(m, n_out, f"m gives a {m} x {n_out} sensing matrix")
     return sub_rng(seed, DOMAIN_INSTANCE, _A_MAT).standard_normal((m, n_out)) \
         / math.sqrt(m)
 
@@ -206,6 +212,8 @@ def _sensed_build(measure, y_star, seed, m=None, **noise):
 def _wishart_build(y_star, seed, n_samples=None, sigma=0.0):
     n_samples = int(n_samples)  # a count, as _instance_row checked
     n_out = len(y_star)
+    check_addressable(n_samples, n_out,
+                      f"n_samples gives a {n_samples} x {n_out} sample matrix")
     u = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_U).standard_normal(n_samples)
     if sigma > 0.0:
         z = sub_rng(seed, DOMAIN_INSTANCE, _SPIKE_Z).standard_normal((n_samples, n_out))
@@ -475,7 +483,6 @@ class SolveTrace:
     n_steps: int
     sign_checks: int
     alpha: float
-    contraction: float
     stop_reason: str
     final_x: np.ndarray
     final_f: float
@@ -581,7 +588,6 @@ def solve(inst, cfg):
     """
     d = inst.net.depth
     alpha = cfg.c_step * 2.0 ** d / d ** 2
-    contraction = 1.0 - (7.0 / 8.0) * alpha / 2.0 ** d
     x = _start_point(inst, cfg)
     bound = _ROWS[inst.kind].certificate(inst)
 
@@ -637,6 +643,6 @@ def solve(inst, cfg):
         iters=arr[:, 0].astype(np.int64), f=arr[:, 1], latent_err=arr[:, 2],
         signal_err=arr[:, 3], negated=arr[:, 4].astype(np.int8),
         negations=tuple(negations), n_steps=steps, sign_checks=sign_checks, alpha=alpha,
-        contraction=contraction, stop_reason=stop_reason, final_x=x, final_f=ev[0],
+        stop_reason=stop_reason, final_x=x, final_f=ev[0],
         final_rel_latent_err=float(arr[-1, 2]) / ns if ns > 0 else float("nan"),
         final_rel_signal_err=float(arr[-1, 3]) / ny if ny > 0 else float("nan"))

@@ -359,7 +359,7 @@ seed = 1
 t_max = 80
 """)
     commands = {
-        "recipe.csv": ["recipe", "--k", "4", "--d", "2"],
+        "recipe.csv": ["recipe", "--recipe", "k=4 d=2"],
         "trace.csv": ["solve", "--net", str(net), "--kind", "CS", "--m", "50",
                       "--seed", "2", "--t-max", "200", "--trace-stride", "20"],
         "wdc.csv": ["check-wdc", "--net", str(net), "--samples", "20"],

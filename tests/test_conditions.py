@@ -299,6 +299,20 @@ def test_sampled_checks_reject_overflowing_nets(kind, check):
         check(net)
 
 
+@pytest.mark.parametrize("name", ["noise_coupling", "lipschitz_check", "norm_angle_report",
+                                  "lambda_concentration", "convexity_direction_check"])
+def test_pair_checks_reject_overflowing_nets(name):
+    # weights scaled by 1e160 used to give NOISE maxima of 0, Lipschitz
+    # ratios (inf, nan) and errors about x, mat or w_vec, each after a
+    # RuntimeWarning
+    small = sample_gaussian_net((3, 20, 30), 0)
+    net = GenerativeNet(dims=small.dims, weights=tuple(1e160 * w for w in small.weights))
+    args = ((np.eye(30)[:10], np.ones(10), 3, 0) if name == "noise_coupling"
+            else (np.ones(3), np.array([1.0, -2.0, 0.5])))
+    with pytest.raises(ValidationError, match=rf"^{name}: the net overflows float64"):
+        getattr(conditions, name)(net, *args)
+
+
 # ---------------------------------------------------------------------------
 # RRIC
 # ---------------------------------------------------------------------------
@@ -769,6 +783,13 @@ def test_expectation_identity_chunk_independent():
     g1, d1 = activation_gram_mc(r, s, m=20, draws=300, seed=5)
     g2, d2 = activation_gram_mc(r, s, m=20, draws=300, seed=5)
     assert np.array_equal(g1, g2) and d1 == d2
+
+
+def test_expectation_identity_rejects_a_matrix_beyond_the_address_space():
+    # numpy used to reject the (1, m, 3) draw with a ValueError of its own
+    with pytest.raises(ValidationError, match="^m gives a 100000000000000000000 x 3 weight "
+                                              "matrix larger than the address space"):
+        activation_gram_mc(np.ones(3), np.eye(3)[0], 10 ** 20, 1, 0)
 
 
 def test_report_validation():

@@ -360,6 +360,39 @@ def test_cli_experiment_overflowing_sigma_exits_1(jobs, tmp_path, capsys):
     assert not out.exists()
 
 
+_HUGE = str(10 ** 20)
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--dims", "2,3", "--kind", "CS", "--m", _HUGE, "--t-max", "1"],
+    ["solve", "--dims", "2,3", "--kind", "SPIKED_WISHART", "--n-samples", _HUGE,
+     "--t-max", "1"],
+    ["check-rric", "--dims", "2,3", "--m", _HUGE, "--samples", "1"],
+    ["experiment", "--jobs", "1"],
+    ["experiment", "--jobs", "2"],
+], ids=["solve-CS", "solve-SPIKED_WISHART", "check-rric", "experiment-jobs1",
+        "experiment-jobs2"])
+def test_cli_matrix_beyond_the_address_space_exits_1(args, tmp_path, capsys):
+    # numpy rejects such a shape with a ValueError of its own, not a MemoryError
+    out = tmp_path / "o.csv"
+    if args[0] == "experiment":
+        text = CONFIG
+        for old, new in (("sweep = m", "sweep = sigma"),
+                         ("values = 100, 200", "values = 0, 0.1"),
+                         ("seeds = 0:3", "seeds = 0"), ("dims = 8, 250, 600", "dims = 2, 3"),
+                         ("eta_norm = 0.1", f"m = {_HUGE}")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        args = args + ["--config", str(cfg)]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"{_HUGE} x 3" in err and "address space" in err
+    assert not out.exists()
+
+
 BAD_RECIPES = ("k=abc d=3", "k=inf d=3", "k=nan d=3", "k=4.7 d=3", "k=4 d=3.5",
                "k=4 d=3 c_bar=inf")
 
@@ -699,9 +732,7 @@ _NET_SOURCE = {("--net",): ("net", None, None, False),
 _SEED_OUT = {("--seed",): ("seed", int, 0, False), ("--out",): ("out", None, None, False)}
 CLI_SURFACE = {
     "gen-net": _HELP | _NET_SOURCE | {("--out",): ("out", None, None, True)},
-    "recipe": _HELP | {("--k",): ("k", int, None, True), ("--d",): ("d", int, None, True),
-                       ("--c-bar",): ("c_bar", float, None, False),
-                       ("--alpha-floor",): ("alpha_floor", float, None, False),
+    "recipe": _HELP | {("--recipe",): ("recipe", None, None, True),
                        ("--out",): ("out", None, None, False)},
     "solve": _HELP | _NET_SOURCE | _SEED_OUT | {
         ("--kind",): ("kind", None, None, True),
@@ -750,7 +781,7 @@ def test_cli_gen_net_roundtrip(tmp_path, capsys):
 
 def test_cli_recipe_prints_dims(tmp_path, capsys):
     out = tmp_path / "recipe.csv"
-    assert main(["recipe", "--k", "4", "--d", "3", "--out", str(out)]) == 0
+    assert main(["recipe", "--recipe", "k=4 d=3", "--out", str(out)]) == 0
     assert "dims=(4, 426, 341, 256)" in capsys.readouterr().out
     lines = out.read_text().splitlines()
     assert lines[0] == "layer,width,expansivity_margin,width_margin"
@@ -935,15 +966,16 @@ def test_cli_rejects_negative_seeds(tmp_path, capsys, args, config):
 
 
 @pytest.mark.parametrize("args,code", [
-    (["--c-bar", "0.01"], 0),
-    (["--c-bar", "1e-30"], 2),
-    (["--c-bar", "inf"], 1),
-    (["--c-bar", "1e308"], 2),
-    (["--alpha-floor", "inf"], 1),
+    (["c_bar=0.01"], 0),
+    (["c_bar=1e-30"], 2),
+    (["c_bar=inf"], 1),
+    (["c_bar=1e308"], 2),
+    (["alpha_floor=1"], 1),
 ])
 def test_cli_recipe_extreme_scales(tmp_path, capsys, args, code):
     out = tmp_path / "recipe.csv"
-    assert main(["recipe", "--k", "4", "--d", "3", "--out", str(out)] + args) == code
+    recipe = " ".join(["k=4", "d=3"] + args)
+    assert main(["recipe", "--recipe", recipe, "--out", str(out)]) == code
     err = capsys.readouterr().err
     if code:
         assert err.startswith("error:") and not out.exists()
@@ -978,12 +1010,10 @@ def _cli_outcome(argv):
 
 
 @settings(max_examples=30, deadline=None)
-@given(k=st.integers(1, 6), d=st.integers(2, 5), c_bar=_EDGE_FLOATS,
-       alpha_floor=_EDGE_FLOATS)
-def test_cli_recipe_fuzz_ends_in_an_exit_code(k, d, c_bar, alpha_floor):
+@given(k=st.integers(1, 6), d=st.integers(2, 5), c_bar=_EDGE_FLOATS)
+def test_cli_recipe_fuzz_ends_in_an_exit_code(k, d, c_bar):
     # `recipe` only computes widths; it never samples a net from them
-    _cli_outcome(["recipe", "--k", str(k), "--d", str(d), "--c-bar", repr(c_bar),
-                  "--alpha-floor", repr(alpha_floor)])
+    _cli_outcome(["recipe", "--recipe", f"k={k} d={d} c_bar={c_bar!r}"])
 
 
 @settings(max_examples=30, deadline=None)
@@ -1010,7 +1040,7 @@ def test_cli_size_fuzz_ends_in_an_exit_code(data, command, tmp_path_factory):
                 "--seed", data.draw(st.integers(-2, 2 ** 64))]
     else:
         argv = ["solve", "--dims", "3,8,6", "--kind", "CS",
-                "--m", data.draw(_sizes(0, 10 ** 4)),
+                "--m", data.draw(_sizes(0, 10 ** 4, 10 ** 20)),
                 "--t-max", data.draw(_sizes(0, 300)),
                 "--trace-stride", data.draw(_sizes(0, 10 ** 9)),
                 "--out", str(tmp_path_factory.mktemp("fuzz") / "trace.csv")]

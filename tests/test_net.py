@@ -456,7 +456,7 @@ def test_net_io_rejects_oversized_header(tmp_path, capsys):
 
 
 def test_recipe_k5_example_shape():
-    rec = contractive_example_dims(k=5, d=3, c_bar=2.0, alpha_floor=1.0)
+    rec = contractive_example_dims(k=5, d=3, c_bar=2.0)
     hidden = rec.dims[1:]
     # widths follow 10 * 3 * (6 - i) * alpha = (150, 120, 90) * alpha
     assert hidden[0] == math.ceil(150 * rec.alpha)
@@ -473,7 +473,7 @@ def test_recipe_k4_d3_frozen():
     # the last layer to 256 (equality holds exactly there), so the smallest
     # feasible scale sits just above 255/72 and the ceilings land on
     # (426, 341, 256)
-    rec = contractive_example_dims(k=4, d=3, c_bar=2.0, alpha_floor=1.0)
+    rec = contractive_example_dims(k=4, d=3, c_bar=2.0)
     assert rec.dims == (4, 426, 341, 256)
     assert rec.alpha_escalated
     assert abs(rec.alpha - 255.0 / 72.0) < 1e-6

@@ -337,7 +337,6 @@ def test_alpha_and_contraction_fields():
     tr = solve(inst, SolverConfig(c_step=0.3, t_max=1, seed=0))
     d = net.depth
     assert tr.alpha == 0.3 * 2.0 ** d / d ** 2
-    assert tr.contraction == 1.0 - (7.0 / 8.0) * tr.alpha / 2.0 ** d
 
 
 def test_gaussian_unit_start():
