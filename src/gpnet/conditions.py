@@ -34,8 +34,6 @@ from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
 CONDITION_KINDS = ("WDC", "R2WDC", "RRIC", "NOISE", "LAMBDA_CONC",
                    "PATTERN_COUNT", "NORM_ANGLE")
 
-_DENOM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -168,8 +166,8 @@ def _sampled_report(kind, layer, samples, seed, value, **aux):
 
     Sample j calls value on its own sub-stream (seed, sample-domain, j),
     so enlarging samples only appends tuples and the reported maximum is
-    monotone in samples.  value returns None for a tuple that falls under
-    the denominator guard; such tuples are skipped and counted.  A value
+    monotone in samples.  value returns None for a degenerate tuple
+    (_differences); such tuples are skipped and counted.  A value
     that overflowed float64 (inf or nan) raises a ValidationError naming
     kind and the sample.  aux follows the median in the report's aux.
     """
@@ -233,14 +231,32 @@ def _layer_input(net, i, x, what):
     return x
 
 
+def _differences(g1, g2, g3, g4):
+    """((a, |a|), (b, |b|)) for a = g1 - g2 and b = g3 - g4, or None when
+    either difference is degenerate: |g1 - g2| <= 1e-12 (|g1| + |g2|),
+    two zero vectors included.  The rule is free of scale, as the
+    statistics that divide by |a| |b| are.  A scale that is not finite is
+    no degeneracy, so an overflowing net reaches _sampled_report's error.
+    """
+    out = []
+    for u, v in ((g1, g2), (g3, g4)):
+        diff = u - v
+        norm = np.linalg.norm(diff)
+        scale = np.linalg.norm(u) + np.linalg.norm(v)
+        if math.isfinite(scale) and norm <= 1e-12 * scale:
+            return None
+        out.append((diff, norm))
+    return out
+
+
 def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
     """One bilinear deviation sample for layer i at anchor pair (x, y).
 
     Evaluates |<(W_{+,u}^T W_{+,v} - Q_{u,v}) a, b>| / (|a| |b|) where
     u, v are the layer inputs generated by x, y and a, b are differences
     of layer inputs generated by x1..x4.  Each latent goes through the
-    first i - 1 layers only.  Returns None when a or b falls under the
-    denominator guard.  layer must be in 1..depth.
+    first i - 1 layers only.  Returns None when a or b is degenerate
+    (_differences).  layer must be in 1..depth.
     """
     i = check_count(layer, "layer")
     if i > net.depth:
@@ -249,12 +265,10 @@ def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
     gu, gv, g1, g2, g3, g4 = (
         _layer_input(net, i, v, name) for v, name in
         zip((x, y, x1, x2, x3, x4), ("x", "y", "x1", "x2", "x3", "x4")))
-    a = g1 - g2
-    b = g3 - g4
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < _DENOM_TOL or nb < _DENOM_TOL:
+    diffs = _differences(g1, g2, g3, g4)
+    if diffs is None:
         return None
+    (a, na), (b, nb) = diffs
     mu = w @ gu > 0.0
     mv = w @ gv > 0.0
     # <W_{+,u}^T W_{+,v} a, b> = sum_j mu_j mv_j (W a)_j (W b)_j
@@ -271,8 +285,8 @@ def r2wdc_deviation(net, layer, samples, seed):
     the mask anchors and the test vectors are produced by the upstream
     layers, i.e. everything lives on the range of G_{i-1}.  Sample j
     draws six fresh Gaussian latents (x, y, x1..x4) from sub-stream
-    (seed, sample-domain, j); tuples whose range differences fall under
-    the 1e-12 denominator guard are skipped and counted.
+    (seed, sample-domain, j); tuples with a degenerate range difference
+    (_differences) are skipped and counted.
     """
     return _sampled_report(
         "R2WDC", layer, samples, seed,
@@ -287,18 +301,16 @@ def rric_deviation(a, net, samples, seed):
     Checks |<(A^T A - I) u, v>| <= eps |u| |v| for u, v differences of
     full-depth outputs G(x1) - G(x2), G(x3) - G(x4) over sampled Gaussian
     latents, computed as |<A u, A v> - <u, v>| to avoid forming A^T A.
-    Pairs with a difference under the denominator guard are skipped.
+    Pairs with a degenerate difference (_differences) are skipped.
     """
     a = check_array(a, "a", (None, net.n_out))
 
     def pair(rng):
         g = [forward(net, rng.standard_normal(net.k))[-1] for _ in range(4)]
-        u = g[0] - g[1]
-        v = g[2] - g[3]
-        nu = np.linalg.norm(u)
-        nv = np.linalg.norm(v)
-        if nu < _DENOM_TOL or nv < _DENOM_TOL:
+        diffs = _differences(*g)
+        if diffs is None:
             return None
+        (u, nu), (v, nv) = diffs
         return abs(float(np.dot(a @ u, a @ v) - np.dot(u, v))) / (nu * nv)
 
     return _sampled_report("RRIC", 0, samples, seed, pair, m=float(a.shape[0]))

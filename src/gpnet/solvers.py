@@ -58,7 +58,7 @@ import numpy as np
 from .errors import (DivergenceError, ValidationError, check_addressable, check_array,
                      check_count)
 from .conditions import _csv_text
-from .net import GenerativeNet, _fields_eq, _gamma, apply_masked_t, forward
+from .net import GenerativeNet, _fields_eq, _gamma, _norm_bound, apply_masked_t, forward
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 
 _X_STAR, _A_MAT, _ETA, _SPIKE_U, _SPIKE_Z, _SPIKE_H = range(6)
@@ -70,7 +70,7 @@ _ROW_BLOCK = 256  # rows of B per u y_star^T block, so no N x n_out temporary
 class Instance:
     """One recovery problem: model kind, net, planted signal and data.
 
-    Construction checks what make_instance would build: a known kind,
+    Construction checks what make_instance would build: a kind in KINDS,
     finite arrays, and shapes that fit the net and the kind (eta may be
     None).  Equality compares the arrays by value.
     """
@@ -123,7 +123,7 @@ def sensing_matrix(m, n_out, seed):
 def _row(kind):
     """The table row of kind."""
     if kind not in KINDS:
-        raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
+        raise ValidationError(f"kind {kind!r} is not one of {KINDS}")
     return _ROWS[kind]
 
 
@@ -292,11 +292,8 @@ class _FlipBound:
         m = len(inst.b)
         if inst.a is None:  # DEN: r = b - G
             l_outer, count = 1.0, 0
-        else:  # |A|_F bounds |A|_2 and |(|A|)|_2, lifted above its rounding
-            a = inst.a
-            l_outer = math.sqrt(float(np.einsum("ij,ij->", a, a))) \
-                * (1.0 + 2.0 * _gamma(a.size + 4))
-            count = net.n_out
+        else:  # the layers' rule bounds |A|_2 and |(|A|)|_2
+            l_outer, count = _norm_bound(inst.a), net.n_out
         self._sweep_margin(net, count + sum(net.dims[:-1]) + m + net.k + net.depth + 64,
                            l_outer, m)
         self.eta_f = m * 2.0 ** -1000
@@ -308,23 +305,20 @@ class _FlipBound:
         self.growth = max(1.0, l_outer) * math.prod(max(1.0, b) for b in betas)
         self.eta = count * max(net.dims + (width,)) * self.growth * 2.0 ** -1000
 
-    def known(self, p, ev):
-        """What rules_out_flip needs of the sweep ev at p."""
-        return p, ev[0], _norm(p)
-
-    def _far(self, x, p, p_norm):
+    def _far(self, x, p):
         """(|x|, a bound on how far the computed sweep at -x lands from the
         one at p: residuals here, net outputs for the spiked kinds)."""
         c = self.c
         x_norm = _norm(x)
-        return x_norm, (self.lip * (_norm(x + p) + c * (x_norm + p_norm)) * (1.0 + c)
+        return x_norm, (self.lip * (_norm(x + p) + c * (x_norm + _norm(p))) * (1.0 + c)
                         + 2.0 * self.eta)
 
-    def rules_out_flip(self, f_x, x, p, f_p, p_norm):
-        """True when f^(-x) >= f^(x) is certain, from the sweep at p."""
+    def rules_out_flip(self, f_x, x, p, ev_p):
+        """True when f^(-x) >= f^(x) is certain, from the sweep ev_p at p
+        (an _evaluate result)."""
         c = self.c
-        x_norm, far = self._far(x, p, p_norm)
-        near = math.sqrt(max(2.0 * (f_p - self.eta_f), 0.0))
+        x_norm, far = self._far(x, p)
+        near = math.sqrt(max(2.0 * (ev_p[0] - self.eta_f), 0.0))
         lo = near * (1.0 - 4.0 * c) - far
         return (lo > 0.0 and 0.5 * lo * lo * (1.0 - 4.0 * c) > f_x + self.eta_f
                 and near + far + self.growth * x_norm < 2.0 ** 400)
@@ -345,22 +339,19 @@ class _SpikedFlipBound(_FlipBound):
         self.e = (n * n + 4 * n + 6) * 2.0 ** -52
         self.eta_f = (n + 1) ** 2 * 2.0 ** -1000
 
-    def known(self, p, ev):
-        return p, ev[0], _norm(p), math.sqrt(ev[2][1])
-
     def _loss_error(self, g_norm):
         """Bound on |f^ - |M - g g^T|_F^2 / 2| at a computed G = g, |g| <= g_norm."""
         q = g_norm * g_norm
         return self.e * (self.m_sq_norm + q * q) + self.eta_f * (1.0 + q)
 
-    def rules_out_flip(self, f_x, x, p, f_p, p_norm, g_norm):
-        """True when f^(-x) >= f^(x) is certain, from the sweep at p, whose
-        computed G(p) has norm g_norm."""
+    def rules_out_flip(self, f_x, x, p, ev_p):
+        """True when f^(-x) >= f^(x) is certain, from the sweep ev_p at p,
+        whose residual carries g . g of the computed G(p)."""
         c = self.c
-        x_norm, dist = self._far(x, p, p_norm)
-        h = g_norm * (1.0 + c)
+        x_norm, dist = self._far(x, p)
+        h = math.sqrt(ev_p[2][1]) * (1.0 + c)
         top = h + dist
-        near = math.sqrt(max(2.0 * (f_p - self._loss_error(h)), 0.0))
+        near = math.sqrt(max(2.0 * (ev_p[0] - self._loss_error(h)), 0.0))
         lo = near * (1.0 - 4.0 * c) - dist * (h + top) * (1.0 + c)
         return (lo > 0.0
                 and 0.5 * lo * lo * (1.0 - 4.0 * c) > f_x + self._loss_error(top)
@@ -397,7 +388,6 @@ _ROWS = {
     "SPIKED_WIGNER": _Kind((), ("sigma",), _wigner_build, *_SPIKED),
 }
 KINDS = tuple(_ROWS)
-_OUTER = _ROWS  # the name under which the solver tests read the outer columns
 
 
 def _evaluate(inst, x):
@@ -518,11 +508,13 @@ def solve(inst, cfg):
     f^(-x) < f^(x).  For CS, PR and DEN, f = |r|^2 / 2 with r = b - A G,
     b - |A G| or b - G; relu and |.| are 1-Lipschitz, so r is L-Lipschitz
     with L = L_outer prod_i beta_i, beta_i = GenerativeNet.norm_bounds[i]
-    and L_outer = |A|_F (CS, PR) or 1 (DEN).  Let p be the last point
-    swept besides x: -x after a check that kept x, the pre-flip x after a
-    flip.  Then |r(-x)| >= |r(p)| - L |x + p|, and the sweep at -x is
-    skipped when that bound, carried through the rounding below, proves
-    f^(-x) >= f^(x).
+    and L_outer = net._norm_bound(A) (CS, PR) or 1 (DEN): one rule,
+    min(|W|_F, sqrt(|W|_1 |W|_inf)) lifted above its rounding, bounds
+    every matrix.  Let p be the last point swept besides x: -x after a
+    check that kept x, the pre-flip x after a flip; solve keeps that
+    sweep, and rules_out_flip reads f(p) from it.  Then |r(-x)| >=
+    |r(p)| - L |x + p|, and the sweep at -x is skipped when that bound,
+    carried through the rounding below, proves f^(-x) >= f^(x).
 
     The spiked kinds have f = |R|_F^2 / 2 with R(y) = M - G(y) G(y)^T.
     Since a a^T - b b^T = (a - b) a^T + b (a - b)^T, |a a^T - b b^T|_F <=
@@ -530,16 +522,16 @@ def solve(inst, cfg):
 
         |R(-x)|_F >= |R(p)|_F - (2 |G(p)| + L_G |x + p|) L_G |x + p|.
 
-    The spiked table keeps g . g from the sweep at p, so |G(p)| costs
-    no extra work.
+    The spiked residual carries g . g from the sweep at p, so |G(p)|
+    costs no extra work.
 
     Rounding margin, with u = 2^-53 and gamma_n = n u / (1 - n u):
     - A float matvec obeys |fl(W v) - W v| <= gamma_n |W| |v| entrywise
-      (n the inner size, any summation order), and beta_i and |A|_F
-      also bound the spectral norms of |W_i| and |A|.  By induction over
-      the layers, the computed A G(y) (G(y) for DEN) lies within
-      gamma_K L |y| of the exact one, K = n_0 + ... + n_{d-1} (+ n_d for
-      CS and PR).  This error scales with |A G(y)|, which is |b| near a
+      (n the inner size, any summation order), and beta_i and L_outer
+      also bound the spectral norms of |W_i| and |A| (net._norm_bound).
+      By induction over the layers, the computed A G(y) (G(y) for DEN)
+      lies within gamma_K L |y| of the exact one, K = n_0 + ... +
+      n_{d-1} (+ n_d for CS and PR).  This error scales with |A G(y)|, which is |b| near a
       solution, not with the residual, so it enters as an absolute term.
       Subtracting from b adds u |r^|, and |.| adds nothing.
     - Hence |r^(y) - r(y)| <= c L |y| + c |r^(y)| + eta, and
@@ -596,7 +588,7 @@ def solve(inst, cfg):
     stop_reason = "t_max"
     steps = 0
     sign_checks = 0
-    known = None  # bound.known of the last sweep on the side not taken
+    other = None  # (point, sweep) last swept on the side not taken
 
     def record(t, x_cur, ev, neg):
         rows.append((t, ev[0], _norm(x_cur - inst.x_star),
@@ -608,7 +600,7 @@ def solve(inst, cfg):
             ev = _evaluate(inst, x)
             if not math.isfinite(ev[0]):
                 raise DivergenceError(t)
-            if known is not None and bound.rules_out_flip(ev[0], x, *known):
+            if other is not None and bound.rules_out_flip(ev[0], x, *other):
                 neg = 0
             else:
                 x_neg = -x
@@ -620,7 +612,7 @@ def solve(inst, cfg):
                 if neg:  # after the swap, x_neg is the side not taken
                     x, x_neg, ev, ev_neg = x_neg, x, ev_neg, ev
                     negations.append(t)
-                known = bound.known(x_neg, ev_neg)
+                other = (x_neg, ev_neg)
             record(t, x, ev, neg)
             x_new = x - alpha * _subgradient_at(inst, *ev[1:])
             if not np.isfinite(x_new).all():

@@ -19,6 +19,7 @@ from gpnet.harness import _parse_recipe
 from gpnet.net import (GenerativeNet, contractive_example_dims, forward, linear_path,
                        sample_gaussian_net)
 from gpnet.rng import DOMAIN_INSTANCE, DOMAIN_SAMPLE, sub_rng, unit_vector
+from gpnet.solvers import sensing_matrix
 
 # frozen regression values, measured once on first computation
 R2WDC_PIN_LAYER2 = 0.13107826628963767      # (4,200,400) net seed 11, 2000 pairs, seed 1
@@ -272,6 +273,21 @@ def test_rric_counts_degenerate_pairs():
     assert 0 < kept < samples
     assert rep.skipped == samples - kept
     assert rep.max_eps <= 1e-12  # A = I leaves every kept pair exact
+
+
+@pytest.mark.parametrize("layer,check", [
+    (0, lambda net: r2wdc_deviation(net, 2, 20, 0)),
+    (2, lambda net: rric_deviation(sensing_matrix(30, 40, 0), net, 20, 0))],
+    ids=["R2WDC", "RRIC"])
+def test_degenerate_rule_is_free_of_scale(layer, check):
+    # a power of two scales every later output exactly and both statistics
+    # are ratios, so scaling one layer by 2^-44 (differences near 1e-13)
+    # leaves the report as it was, skipped tuples included
+    net = sample_gaussian_net((4, 60, 50, 40), 0)
+    weights = list(net.weights)
+    weights[layer] = weights[layer] * 2.0 ** -44
+    tiny = GenerativeNet(dims=net.dims, weights=tuple(weights))
+    assert reports_csv_text([check(tiny)]) == reports_csv_text([check(net)])
 
 
 def test_r2wdc_layer_validation():

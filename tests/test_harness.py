@@ -1023,6 +1023,21 @@ def test_cli_solve_seed_fuzz_ends_in_an_exit_code(seed, net_seed):
                   "--seed", str(seed), "--net-seed", str(net_seed)])
 
 
+_KIND_COUNTS = {"CS": ["--m", "12"], "PR": ["--m", "12"], "DEN": [],
+                "SPIKED_WISHART": ["--n-samples", "20"], "SPIKED_WIGNER": []}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_KIND_COUNTS)), t_max=st.integers(0, 5),
+       floats=st.dictionaries(st.sampled_from(("c-step", "sigma", "eta-norm",
+                                               "rel-step-tol")), _EDGE_FLOATS))
+def test_cli_solve_float_fuzz_ends_in_an_exit_code(kind, t_max, floats):
+    # huge noise drives the no-flip certificate's overflow test; the
+    # --flag=value form passes negative values as values
+    _cli_outcome(["solve", "--dims", "3,8,6", "--kind", kind, *_KIND_COUNTS[kind],
+                  "--t-max", str(t_max), *(f"--{f}={v!r}" for f, v in floats.items())])
+
+
 def _sizes(*extremes):
     return st.one_of(st.integers(-2, 40), st.sampled_from(extremes))
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from gpnet import solvers
+from gpnet import net as net_module, solvers
 from gpnet.errors import DivergenceError, ValidationError
 from gpnet.geometry import spectral_norm
 from gpnet.net import GenerativeNet, forward, sample_gaussian_net
@@ -224,7 +224,7 @@ def test_spiked_table_matches_dense_residual(kind, kwargs, sigma):
     for x in points:
         f, outs, res = solvers._evaluate(inst, x)
         g = outs[-1]
-        w = solvers._OUTER[kind].gradient(inst, g, res)
+        w = solvers._ROWS[kind].gradient(inst, g, res)
         r = m - np.outer(g, g)
         assert abs(f - 0.5 * np.sum(r ** 2)) <= _spiked_loss_bound(inst, g)
         assert np.linalg.norm(w - (-2.0 * r @ g)) <= _spiked_gradient_bound(inst, g)
@@ -532,16 +532,16 @@ _SPIKED_KINDS = [
 
 
 def _certificate(inst):
-    return solvers._OUTER[inst.kind].certificate(inst)
+    return solvers._ROWS[inst.kind].certificate(inst)
 
 
 def _claims_no_flip(inst, bound, x, p):
     """rules_out_flip at x from the sweep at p, as solve calls it."""
-    return bound.rules_out_flip(loss(inst, x), x, *bound.known(p, solvers._evaluate(inst, p)))
+    return bound.rules_out_flip(loss(inst, x), x, p, solvers._evaluate(inst, p))
 
 
 def _residual(inst, y):
-    return solvers._OUTER[inst.kind].residual(inst, forward(inst.net, y)[-1])[0]
+    return solvers._ROWS[inst.kind].residual(inst, forward(inst.net, y)[-1])[0]
 
 
 def _residual_longdouble(inst, y):
@@ -568,6 +568,18 @@ def test_flip_bound_lipschitz_above_spectral_product(kind, kwargs):
     if inst.a is not None:
         exact *= spectral_norm(inst.a)
     assert _certificate(inst).lip >= exact
+
+
+@pytest.mark.parametrize("kind,m", [("CS", 150), ("PR", 300)])
+def test_flip_bound_bounds_a_by_the_layers_rule(kind, m):
+    # one rule bounds A and every layer, and on the recover net its mixed
+    # norm undercuts the lifted Frobenius norm of A
+    net = sample_gaussian_net((8, 250, 600), seed=0)
+    inst = make_instance(kind, net, m=m, seed=1)
+    lip = _certificate(inst).lip
+    assert lip == net_module._norm_bound(inst.a) * math.prod(net.norm_bounds)
+    lift = 1.0 + 2.0 * net_module._gamma(inst.a.size + 4)
+    assert lip < float(np.linalg.norm(inst.a)) * lift * math.prod(net.norm_bounds)
 
 
 @pytest.mark.parametrize("kind,kwargs", _RESIDUAL_KINDS[:3])
@@ -635,7 +647,7 @@ def test_spiked_flip_bound_covers_sweep_rounding(kind, kwargs, seed, log_scale, 
     g_hat = g.astype(np.longdouble)
     r = inst.m_obs.astype(np.longdouble) - np.outer(g_hat, g_hat)
     exact = 0.5 * np.sum(r * r)
-    h = bound.known(y, (f, outs, res))[3] * (1.0 + bound.c)
+    h = math.sqrt(res[1]) * (1.0 + bound.c)
     assert abs(f - exact) <= bound._loss_error(h)
 
 
@@ -683,9 +695,8 @@ def test_flip_bound_refuses_a_tie():
     bound = solvers._FlipBound(inst)
     f_pos, f_neg = loss(inst, x0), loss(inst, -x0)
     assert abs(f_pos - f_neg) <= 1e-14 * f_pos
-    norm = float(np.linalg.norm(x0))
-    assert not bound.rules_out_flip(f_pos, x0, -x0, f_neg, norm)
-    assert not bound.rules_out_flip(f_neg, -x0, x0, f_pos, norm)
+    assert not bound.rules_out_flip(f_pos, x0, -x0, solvers._evaluate(inst, -x0))
+    assert not bound.rules_out_flip(f_neg, -x0, x0, solvers._evaluate(inst, x0))
 
 
 @pytest.mark.parametrize("kind", ["SPIKED_WISHART", "SPIKED_WIGNER"])
