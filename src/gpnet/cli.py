@@ -86,6 +86,9 @@ def _cmd_solve(args):
     _instance_row(args.kind, given)  # before the net is sampled
     net, _ = _net_from_args(args)
     inst = make_instance(args.kind, net, seed=args.seed, **given)
+    if not inst.y_star.any():
+        raise ValidationError("the planted signal G(x_star) is zero, so its relative "
+                              "error is undefined; try another --seed or net")
     cfg = SolverConfig(seed=args.seed, **_given(args, *_SOLVER_KEYS))
     tr = solve(inst, cfg)
     print(f"kind={args.kind} steps={tr.n_steps} stop={tr.stop_reason} "
@@ -148,8 +151,8 @@ def _patterns(args):
     w = rng.standard_normal((args.rows, args.cols))
     basis = rng.standard_normal((args.cols, args.ell))
     pc = pattern_count_exact(w, basis)
-    return [pc.to_report()], (f"patterns={pc.count} comb_bound={pc.comb_bound} "
-                              f"log_bound={pc.log_bound!r}")
+    return [pc.to_report(args.seed)], (f"patterns={pc.count} comb_bound={pc.comb_bound} "
+                                       f"log_bound={pc.log_bound!r}")
 
 
 def _conditions(args):

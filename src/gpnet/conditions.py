@@ -13,9 +13,9 @@ the worst deviation seen, and serializes to a common CSV layout
     condition, layer, statistic, value, target, samples, skipped, seed
 
 so suites can be concatenated, diffed and rerun byte-identically.
-Convention: layer 0 tags whole-network statistics.  The sampled checks
-and pattern_count_exact run on one BLAS thread (gpnet.blas), so their
-bytes do not depend on the caller's thread count.
+Convention: layer 0 tags whole-network statistics.  Every check bar the
+per-sample values runs under _guarded: on one BLAS thread, so its bytes
+do not depend on the caller's thread count, and with overflow an error.
 """
 
 from dataclasses import dataclass, field
@@ -142,7 +142,8 @@ def masked_gram_deviation(w, r, s):
     t < n (the complement is empty when t = n).  The core is symmetrized
     exactly, so its norm comes from one symmetric eigenvalue problem.
     Cost O(n p^2 + p^3), against O(m n^2 + n^3) for the dense masked
-    Gram and its SVD.
+    Gram and its SVD.  Unguarded: inside _sampled_report an overflow comes
+    back as inf, which that loop reports by sample index.
     """
     w = check_array(w, "w", (None, None))
     r = check_array(r, "r", w.shape[1:])
@@ -191,16 +192,16 @@ def _sampled_report(kind, layer, samples, seed, value, **aux):
                            aux={"median_deviation": float(np.median(kept)), **aux})
 
 
-def _no_overflow(check):
-    """check, run with numpy's overflow and invalid flags raised instead of
-    warned.  A value past float64 then ends the check in one
-    ValidationError that names it, where the non-finite values would
-    otherwise become a nan or silently zero statistic, or an error that
-    blames an input the caller never passed."""
+def _guarded(check):
+    """check, run on one BLAS thread (gpnet.blas), so its bytes do not
+    depend on the caller's thread count, and with numpy's overflow and
+    invalid flags raised: a value past float64 ends it in one
+    ValidationError that names it, not in a nan or silently zero
+    statistic, or an error that blames an input the caller never passed."""
     @functools.wraps(check)
     def guarded(*args, **kwargs):
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with one_blas_thread(), np.errstate(over="raise", invalid="raise"):
                 return check(*args, **kwargs)
         except FloatingPointError:
             raise ValidationError(f"{check.__name__}: the net overflows float64 "
@@ -208,7 +209,7 @@ def _no_overflow(check):
     return guarded
 
 
-@one_blas_thread()
+@_guarded
 def wdc_deviation(w, samples, seed, layer=1):
     """Worst masked-Gram deviation of one weight matrix over sampled pairs.
 
@@ -252,11 +253,11 @@ def _differences(g1, g2, g3, g4):
 def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
     """One bilinear deviation sample for layer i at anchor pair (x, y).
 
-    Evaluates |<(W_{+,u}^T W_{+,v} - Q_{u,v}) a, b>| / (|a| |b|) where
-    u, v are the layer inputs generated by x, y and a, b are differences
-    of layer inputs generated by x1..x4.  Each latent goes through the
-    first i - 1 layers only.  Returns None when a or b is degenerate
-    (_differences).  layer must be in 1..depth.
+    Evaluates |<(W_{+,u}^T W_{+,v} - Q_{u,v}) a, b>| / (|a| |b|) where u, v
+    are the layer inputs generated by x, y and a, b are differences of layer
+    inputs generated by x1..x4, each latent through the first i - 1 layers
+    only.  None when a or b is degenerate (_differences).  layer must be in
+    1..depth.  Unguarded, so _sampled_report names an overflowing sample.
     """
     i = check_count(layer, "layer")
     if i > net.depth:
@@ -277,7 +278,7 @@ def r2wdc_tuple_value(net, layer, x, y, x1, x2, x3, x4):
     return abs(bilin - qab) / (na * nb)
 
 
-@one_blas_thread()
+@_guarded
 def r2wdc_deviation(net, layer, samples, seed):
     """Worst range-restricted bilinear deviation of layer i.
 
@@ -294,7 +295,7 @@ def r2wdc_deviation(net, layer, samples, seed):
                                                     for _ in range(6))))
 
 
-@one_blas_thread()
+@_guarded
 def rric_deviation(a, net, samples, seed):
     """Worst measurement-Gram deviation on differences of network outputs.
 
@@ -335,8 +336,7 @@ def omega(dims, m):
         * math.sqrt(k / m * log_term)
 
 
-@one_blas_thread()
-@_no_overflow
+@_guarded
 def noise_coupling(net, a, eta, samples, seed):
     """How strongly a fixed noise vector enters the latent geometry.
 
@@ -392,10 +392,12 @@ class PatternCount:
     log_bound: float
     patterns: tuple
 
-    def to_report(self):
+    def to_report(self, seed):
+        """The count as a report whose seed column is seed, the seed that W
+        and the basis were drawn from."""
         return ConditionReport(
             kind="PATTERN_COUNT", layers=(0,), eps_by_layer=(float(self.count),),
-            headline="count", samples=0, seed=0,
+            headline="count", samples=0, seed=int(seed),
             aux={"comb_bound": float(self.comb_bound),
                  "log_count": math.log(self.count),
                  "log_bound": self.log_bound},
@@ -464,7 +466,7 @@ def _witnesses(p):
     return np.concatenate((z + step, z - step))
 
 
-@one_blas_thread()
+@_guarded
 def pattern_count_exact(w, basis):
     """Count the activation patterns diag(Wv > 0) realized over a subspace.
 
@@ -547,7 +549,7 @@ def _require_off_boundary(net, x, name):
                 "perturb it and retry")
 
 
-@_no_overflow
+@_guarded
 def lambda_concentration(net, x, y):
     """Concentration of the end-to-end linearization at x against pair y.
 
@@ -576,7 +578,7 @@ def lambda_concentration(net, x, y):
                            targets=_reference_levels(d, aux))
 
 
-@_no_overflow
+@_guarded
 def norm_angle_report(net, x, y):
     """Layerwise norm decay and angle contraction for one latent pair.
 
@@ -631,7 +633,7 @@ class LipschitzResult:
     in_ball: bool
 
 
-@_no_overflow
+@_guarded
 def lipschitz_check(net, x, y):
     outs_x = forward(net, x)
     outs_y = forward(net, y)
@@ -646,7 +648,7 @@ def lipschitz_check(net, x, y):
     return LipschitzResult(ratios=ratios, in_ball=bool(in_ball))
 
 
-@_no_overflow
+@_guarded
 def convexity_direction_check(net, x, y):
     """Relative residual of the descent-direction identity
 
@@ -675,7 +677,7 @@ def convexity_direction_check(net, x, y):
 # condition suite
 # ---------------------------------------------------------------------------
 
-@one_blas_thread()
+@_guarded
 def run_condition_suite(net, samples, seed, pairs=25, recipe=None):
     """All net-only condition checks bundled into one report list.
 
@@ -685,7 +687,6 @@ def run_condition_suite(net, samples, seed, pairs=25, recipe=None):
     second point) difference ratios and the descent-direction residual.
     A final PATTERN_COUNT report carries the log affine-piece bounds per
     partial depth, plus the width-recipe margins when recipe is given.
-    The suite runs on one BLAS thread, as the checks it bundles do.
     """
     samples = check_count(samples, "samples")
     pairs = check_count(pairs, "pairs")
@@ -743,6 +744,7 @@ def run_condition_suite(net, samples, seed, pairs=25, recipe=None):
 # expectation identity
 # ---------------------------------------------------------------------------
 
+@_guarded
 def activation_gram_mc(r, s, m, draws, seed):
     """Monte Carlo mean of W_{+,r}^T W_{+,s} over W with N(0, 1/m) entries.
 

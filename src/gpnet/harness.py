@@ -3,8 +3,10 @@
 An experiment is a grid (sweep value) x (seed).  Each cell builds its
 net and instance deterministically from the cell coordinates, so cells
 can run in any order, on any number of workers, and still produce the
-same bytes; rows are emitted sorted by (sweep value, seed).  Divergent
-cells are marked failed instead of aborting the grid.
+same bytes; rows are emitted sorted by (sweep value, seed).  A cell that
+diverges, or whose planted signal G(x_star) is zero (no relative signal
+error is defined), is marked failed instead of aborting the grid; the
+summary quantiles read only the cells that did not fail.
 
 Config files use INI syntax:
 
@@ -126,6 +128,10 @@ class ExperimentSpec:
         if axis.arg and getattr(self, axis.arg) != getattr(ExperimentSpec, axis.arg):
             raise ValidationError(f"{axis.arg} is swept, so it must not also be given, "
                                   f"got {axis.arg} = {getattr(self, axis.arg)!r}")
+        # likewise the solver seed, which run_cell replaces by each cell's seed
+        if self.solver.seed != SolverConfig.seed:
+            raise ValidationError("each cell's seed is its solver seed, so solver.seed "
+                                  f"must not be given, got {self.solver.seed!r}")
 
 
 def _cell_dims(spec, value):
@@ -160,14 +166,15 @@ def run_cell(spec, value, seed):
     arguments only: the net is rebuilt from (cell dims, net_seed), or taken
     from the process's one-entry reuse when the last cell had the same."""
     net = _cell_net(_cell_dims(spec, value), spec.net_seed)
-    cfg = replace(spec.solver, seed=seed)
+    inst = make_instance(spec.kind, net, seed=seed, **_instance_args(spec, value))
+    failed = {"sweep_value": value, "seed": seed, "final_signal_err": float("nan"),
+              "final_latent_err": float("nan"), "iters": 0, "negations": 0, "failed": 1}
+    if not inst.y_star.any():  # G(x_star) = 0 has no relative signal error
+        return failed
     try:
-        inst = make_instance(spec.kind, net, seed=seed, **_instance_args(spec, value))
-        tr = solve(inst, cfg)
+        tr = solve(inst, replace(spec.solver, seed=seed))
     except DivergenceError as e:
-        return {"sweep_value": value, "seed": seed,
-                "final_signal_err": float("nan"), "final_latent_err": float("nan"),
-                "iters": e.iteration, "negations": 0, "failed": 1}
+        return failed | {"iters": e.iteration}
     return {"sweep_value": value, "seed": seed,
             "final_signal_err": tr.final_rel_signal_err,
             "final_latent_err": tr.final_rel_latent_err,

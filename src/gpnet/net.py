@@ -66,16 +66,27 @@ def _gamma(n):
     return nu / (1.0 - nu)
 
 
+_NORM_ROWS = 32  # rows of |W| that _norm_bound holds at a time
+
+
 def _norm_bound(w):
     """min(|W|_F, sqrt(|W|_1 |W|_inf)), lifted above its rounding.
 
     Both norms are unchanged by taking entrywise absolute values, so the
     bound holds for the spectral norm of W and of |W| alike.  The float
     sums behind it have relative error below gamma_n, n = W.size + 4.
+    |W| is taken _NORM_ROWS rows at a time, and each block's rows are
+    added to the column sums in row order, as a sum over axis 0 of the
+    whole |W| adds them, so the bound is that of the one-shot sums.
     """
-    a = np.abs(w)
     fro = math.sqrt(float(np.einsum("ij,ij->", w, w)))
-    mixed = math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
+    cols = np.zeros(w.shape[1])
+    row_max = 0.0
+    for i in range(0, len(w), _NORM_ROWS):
+        block = np.abs(w[i:i + _NORM_ROWS])
+        row_max = max(row_max, float(block.sum(axis=1).max()))
+        cols = np.add.reduce(np.vstack((cols[None], block)), axis=0)
+    mixed = math.sqrt(float(cols.max()) * row_max)
     return min(fro, mixed) * (1.0 + 2.0 * _gamma(w.size + 4))
 
 

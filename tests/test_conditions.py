@@ -640,6 +640,16 @@ def test_patterns_validation():
         pattern_count_exact(np.zeros((3, 4)), dep)
 
 
+def test_patterns_reject_an_overflowing_projection():
+    # W basis overflows to inf and nan; unguarded, the count came out 4
+    # where the exact count is 6, after RuntimeWarnings
+    w = np.array([[1e300, 1e300], [1.0, -1.0], [2.0, 0.5]])
+    basis = np.array([[1e10, 0.0], [1e10, 1.0]])
+    with pytest.raises(ValidationError,
+                       match=r"^pattern_count_exact: the net overflows float64"):
+        pattern_count_exact(w, basis)
+
+
 def test_log_piece_bounds_frozen():
     vals = log_piece_count_bounds((4, 100, 100))
     assert len(vals) == 2
@@ -678,6 +688,23 @@ def test_lambda_concentration_boundary_guard():
     net = GenerativeNet(dims=(2, 2), weights=(w,))
     with pytest.raises(ValidationError):
         lambda_concentration(net, np.array([1.0, 1.0]), np.array([0.3, 0.1]))
+
+
+def test_lambda_bytes_do_not_depend_on_caller_blas_threads(caller_blas_threads):
+    # linear_path's dense products round differently on two threads
+    for c_bar in (2, 8):
+        net = sample_gaussian_net(_parse_recipe(f"k=4 d=3 c_bar={c_bar}").dims, 0)
+        pairs = []
+        for j in range(10):
+            rng = sub_rng(1, DOMAIN_SAMPLE, j)
+            pairs.append((rng.standard_normal(net.k), rng.standard_normal(net.k)))
+        texts = []
+        for n in (1, 2):
+            blas.set_blas_threads(n)
+            texts.append(reports_csv_text([lambda_concentration(net, x, y)
+                                           for x, y in pairs]))
+            assert blas.blas_threads() == n
+        assert texts[0] == texts[1], c_bar
 
 
 def test_norm_angle_x_equals_y():

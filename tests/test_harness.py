@@ -343,6 +343,39 @@ def test_cli_solve_on_an_overflowing_net_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: instance b contains non-finite entries\n"
 
 
+def test_cli_solve_rejects_a_zero_planted_signal(tmp_path, capsys):
+    # G(x_star) = 0 here, so the relative signal error used to print nan
+    out = tmp_path / "trace.csv"
+    assert main(["solve", "--dims", "1,1", "--kind", "DEN", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: the planted signal G(x_star) is zero")
+    assert not out.exists()
+
+
+def test_zero_signal_cells_are_failed_and_left_out_of_the_summary():
+    spec = small_spec(kind="CS", sweep_axis="m", sweep_values=(1, 2), seeds=(0, 1, 2),
+                      dims=(1, 1), net_seed=0, solver=SolverConfig(t_max=20))
+    rows, summary = run_experiment(spec, jobs=1)
+    net = sample_gaussian_net(spec.dims, spec.net_seed)
+    for r in rows:
+        inst = make_instance("CS", net, m=int(r["sweep_value"]), seed=r["seed"])
+        zero = not inst.y_star.any()
+        assert r["failed"] == int(zero)
+        assert math.isnan(r["final_signal_err"]) == zero
+    assert 0 < sum(r["failed"] for r in rows) < len(rows)
+    for s in summary:
+        assert 0 < s["failed"] < s["cells"]
+        assert all(math.isfinite(s[q]) for q in ("signal_err_q1", "signal_err_median",
+                                                 "signal_err_q3", "latent_err_median"))
+
+
+def test_spec_rejects_a_solver_seed():
+    # run_cell gives each cell its own solver seed, so a given one did nothing
+    with pytest.raises(ValidationError, match=r"solver\.seed must not be given, got 7"):
+        small_spec(solver=SolverConfig(t_max=5, seed=7))
+    assert small_spec(solver=SolverConfig(t_max=5, seed=0)).solver.seed == 0
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_experiment_overflowing_sigma_exits_1(jobs, tmp_path, capsys):
     text = CONFIG
@@ -820,6 +853,15 @@ def test_cli_check_commands_write_reports(tmp_path):
         assert len(text.splitlines()) > 1
 
 
+def test_cli_check_patterns_records_its_seed(tmp_path):
+    # W and the basis come from --seed, and the report says so
+    out = tmp_path / "p.csv"
+    assert main(["check-patterns", "--rows", "5", "--cols", "7", "--ell", "2",
+                 "--seed", "7", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert rows and {r["seed"] for r in rows} == {"7"}
+
+
 def test_cli_experiment_runs_config(tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     out = tmp_path / "exp.csv"
@@ -1007,6 +1049,7 @@ def _cli_outcome(argv):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     assert (code == 0) or err.startswith("error:")
+    assert (code != 0) or not re.search(r"\bnan\b", out.getvalue())  # no silent NaN
 
 
 @settings(max_examples=30, deadline=None)
@@ -1054,11 +1097,15 @@ def test_cli_size_fuzz_ends_in_an_exit_code(data, command, tmp_path_factory):
                 "--ell", data.draw(st.integers(-1, 4)),
                 "--seed", data.draw(st.integers(-2, 2 ** 64))]
     else:
-        argv = ["solve", "--dims", "3,8,6", "--kind", "CS",
-                "--m", data.draw(_sizes(0, 10 ** 4, 10 ** 20)),
-                "--t-max", data.draw(_sizes(0, 300)),
-                "--trace-stride", data.draw(_sizes(0, 10 ** 9)),
-                "--out", str(tmp_path_factory.mktemp("fuzz") / "trace.csv")]
+        # tiny nets, where G(x_star) is often zero, on every kind
+        dims = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        kind = data.draw(st.sampled_from(sorted(_KIND_COUNTS)))
+        argv = ["solve", "--dims", ",".join(map(str, dims)), "--kind", kind]
+        if _KIND_COUNTS[kind]:  # the count the kind needs
+            argv += [_KIND_COUNTS[kind][0], data.draw(_sizes(0, 10 ** 4, 10 ** 20))]
+        argv += ["--t-max", data.draw(_sizes(0, 300)),
+                 "--trace-stride", data.draw(_sizes(0, 10 ** 9)),
+                 "--out", str(tmp_path_factory.mktemp("fuzz") / "trace.csv")]
     _cli_outcome(list(map(str, argv)))
 
 
@@ -1070,6 +1117,8 @@ def test_cli_condition_sample_fuzz_ends_in_an_exit_code(data, command):
     argv = [command, "--dims", "3,8,6", "--samples", data.draw(st.integers(-2, 3))]
     if command == "check-rric":
         argv += ["--m", 12]
+    elif command in ("check-wdc", "check-r2wdc"):
+        argv += ["--layer", data.draw(st.one_of(st.integers(-2, 4), st.just(10 ** 9)))]
     elif command == "conditions":
         argv += ["--pairs", data.draw(st.integers(-2, 3))]
     _cli_outcome(list(map(str, argv)))

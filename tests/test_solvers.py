@@ -582,6 +582,32 @@ def test_flip_bound_bounds_a_by_the_layers_rule(kind, m):
     assert lip < float(np.linalg.norm(inst.a)) * lift * math.prod(net.norm_bounds)
 
 
+def test_norm_bound_in_row_blocks_is_the_one_shot_bound():
+    # _norm_bound sums |W| a block of rows at a time; on the recover net's
+    # layers and seven of its sensing matrices the bound stays bit for bit
+    # that of one sum over the whole |W|, and no copy of |A| is held
+    def one_shot(w):
+        a = np.abs(w)
+        fro = math.sqrt(float(np.einsum("ij,ij->", w, w)))
+        mixed = math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
+        return min(fro, mixed) * (1.0 + 2.0 * net_module._gamma(w.size + 4))
+
+    net = sample_gaussian_net((8, 250, 600), seed=0)
+    mats = [*net.weights, *(solvers.sensing_matrix(m, net.n_out, seed)
+                            for m, seeds in ((150, range(4)), (300, range(3)))
+                            for seed in seeds)]
+    for w in mats:
+        assert net_module._norm_bound(w) == one_shot(w), w.shape
+    a = mats[-1]
+    tracemalloc.start()
+    try:
+        net_module._norm_bound(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 2
+
+
 @pytest.mark.parametrize("kind,kwargs", _RESIDUAL_KINDS[:3])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), log_gap=st.floats(-6.0, 1.0))
