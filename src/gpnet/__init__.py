@@ -1,13 +1,11 @@
 """Recovery under ReLU generative priors and the geometry that makes it work."""
 
-from .conditions import (CONDITION_KINDS, ConditionReport, LipschitzResult,
-                         PatternCount, activation_gram_mc,
-                         convexity_direction_check, lambda_concentration,
-                         lipschitz_check, log_piece_count_bounds,
-                         masked_gram_deviation, noise_coupling,
-                         norm_angle_report, omega, pattern_count_exact,
-                         r2wdc_deviation, r2wdc_tuple_value, reports_csv_text,
-                         rric_deviation, run_condition_suite, wdc_deviation)
+from .conditions import (CONDITION_KINDS, ConditionReport, PatternCount,
+                         activation_gram_mc, log_piece_count_bounds,
+                         masked_gram_deviation, noise_coupling, omega, pair_reports,
+                         pattern_count_exact, r2wdc_deviation, r2wdc_tuple_value,
+                         reports_csv_text, rric_deviation, run_condition_suite,
+                         wdc_deviation)
 from .errors import DivergenceError, InfeasibleError, ValidationError
 from .geometry import (AngleProfile, DistortionMatrix, angle_between, angle_profile,
                        g_theta, q_lipschitz_gap, q_matrix, spectral_norm)

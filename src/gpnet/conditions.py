@@ -28,7 +28,8 @@ import numpy as np
 from .blas import one_blas_thread
 from .errors import ValidationError, check_addressable, check_array, check_count
 from .geometry import angle_between, angle_profile, g_theta, q_matrix, spectral_norm
-from .net import _layers, apply_masked_t, forward, linear_path, log_growth, preactivations
+from .net import (_layers, _path_mats, apply_masked_t, forward, log_growth,
+                  preactivations)
 from .rng import DOMAIN_SAMPLE, sub_rng, unit_vector
 
 CONDITION_KINDS = ("WDC", "R2WDC", "RRIC", "NOISE", "LAMBDA_CONC",
@@ -184,7 +185,8 @@ def _sampled_report(kind, layer, samples, seed, value, **aux):
             vals.append(v)
     kept = np.asarray([v for v in vals if v is not None])
     if not kept.size:
-        raise ValidationError("all sampled tuples were degenerate")
+        where = f"{kind} layer {layer}" if layer else kind
+        raise ValidationError(f"{where}: all {samples} sampled tuples were degenerate")
     return ConditionReport(kind=kind, layers=(layer,),
                            eps_by_layer=(float(kept.max()),),
                            samples=samples, skipped=samples - kept.size,
@@ -541,136 +543,105 @@ def _reference_levels(d, names):
             for name in names}
 
 
-def _require_off_boundary(net, x, name):
-    for i, z in enumerate(preactivations(net, x), start=1):
-        if np.any(z == 0.0):
-            raise ValidationError(
-                f"{name} sits exactly on an activation boundary of layer {i}; "
-                "perturb it and retry")
+class _Collapsed(ValidationError):
+    """A pair with a latent whose output is exactly zero at some layer:
+    its angles are undefined from there on, so the suite skips it."""
 
 
-@_guarded
-def lambda_concentration(net, x, y):
-    """Concentration of the end-to-end linearization at x against pair y.
-
-    aux statistics (all scaled by 2^d so their targets are depth-free):
-      gram_gap       2^d || Lambda_x^T Lambda_x - I / 2^d ||,  target 4 d eps
-      sq_norm_scaled 2^d lambda_max(Lambda_x^T Lambda_x),      target 13/12
-      htilde_gap     2^d |Lambda_x^T G(y) - h_tilde| / |y|,    target 24 d^3 sqrt(eps)
-    """
+def _pair(net, x, y, near):
+    """The (NORM_ANGLE, LAMBDA_CONC) reports of pair_reports, unguarded,
+    from one sweep each of x, y and near and one transposed sweep."""
     x = check_array(x, "x", (net.k,))
     y = check_array(y, "y", (net.k,))
-    if np.linalg.norm(x) == 0.0 or np.linalg.norm(y) == 0.0:
-        raise ValidationError("latents must be nonzero")
-    _require_off_boundary(net, x, "x")
-    d = net.depth
-    scale = 2.0 ** d
-    lam = linear_path(net, x).lam
-    gram = lam.T @ lam
-    s1 = scale * spectral_norm(gram - np.eye(net.k) / scale)
-    s2 = scale * float(np.linalg.eigvalsh(gram)[-1])
-    gy = forward(net, y)[-1]
-    prof = angle_profile(x, y, d)
-    s3 = scale * float(np.linalg.norm(lam.T @ gy - prof.h_tilde)) \
-        / float(np.linalg.norm(y))
-    aux = {"gram_gap": s1, "sq_norm_scaled": s2, "htilde_gap": s3}
-    return ConditionReport(kind="LAMBDA_CONC", samples=1, aux=aux,
-                           targets=_reference_levels(d, aux))
-
-
-@_guarded
-def norm_angle_report(net, x, y):
-    """Layerwise norm decay and angle contraction for one latent pair.
-
-    Per layer j: norm_sq_ratio = |G_j(x)|^2 / |x|^2 with its expected band
-    [(1/2 - eps)^j, (1/2 + eps)^j], and the headline angle_residual
-    |theta_j - g(theta_{j-1})| against target 4 sqrt(eps).  aux carries
-    the scaled output inner product 2^d <G(x), G(y)> / (|x| |y|) (theory
-    floor 1/(4 pi)) and its gap to the h_tilde prediction (target
-    24 d^3 sqrt(eps)).  The report is scale invariant in x and y.
-    """
-    outs_x = forward(net, x)
-    outs_y = forward(net, y)
-    nx = float(np.linalg.norm(outs_x[0]))
-    ny = float(np.linalg.norm(outs_y[0]))
+    near = check_array(near, "near", (net.k,))
+    nx = float(np.linalg.norm(x))
+    ny = float(np.linalg.norm(y))
     if nx == 0.0 or ny == 0.0:
         raise ValidationError("latents must be nonzero")
+    diff = x - near
+    n_diff = float(np.linalg.norm(diff))
+    if n_diff == 0.0:
+        raise ValidationError("near must differ from x")
     d = net.depth
+    zs = preactivations(net, x)
+    gx = [x] + [np.maximum(z, 0.0) for z in zs]
+    gy = forward(net, y)
+    # a collapsed layer zeroes the next one's z, so this comes first
     for j in range(1, d + 1):
-        if not outs_x[j].any() or not outs_y[j].any():
-            raise ValidationError(f"layer {j} output collapsed to zero")
-    ratios = tuple(float(np.dot(outs_x[j], outs_x[j])) / nx ** 2
-                   for j in range(1, d + 1))
-    thetas = [angle_between(outs_x[j], outs_y[j]) for j in range(d + 1)]
-    residuals = tuple(abs(thetas[j] - g_theta(thetas[j - 1]))
-                      for j in range(1, d + 1))
+        for name, g in (("x", gx), ("y", gy)):
+            if not g[j].any():
+                raise _Collapsed(f"{name} collapses to zero at layer {j}")
+    for j, z in enumerate(zs, start=1):
+        if np.any(z == 0.0):
+            raise ValidationError(
+                f"x sits exactly on an activation boundary of layer {j}; "
+                "perturb it and retry")
+    masks = [z > 0.0 for z in zs]
+    lam = _path_mats(net, masks)[-1]
+    gram = lam.T @ lam
     scale = 2.0 ** d
-    inner_scaled = scale * float(np.dot(outs_x[-1], outs_y[-1])) / (nx * ny)
-    prof = angle_profile(outs_x[0], outs_y[0], d)
-    htilde_gap = scale * abs(float(np.dot(outs_x[-1], outs_y[-1]))
-                             - float(np.dot(outs_x[0], prof.h_tilde))) / (nx * ny)
-    aux = {"inner_scaled": inner_scaled, "htilde_gap": htilde_gap}
-    return ConditionReport(
+    prof = angle_profile(x, y, d)
+    thetas = [angle_between(gx[j], gy[j]) for j in range(d + 1)]
+    inner = float(np.dot(gx[-1], gy[-1]))
+    gn = forward(net, near)
+    v = apply_masked_t(net, masks, gx[-1] - gn[-1])
+
+    aux = {"inner_scaled": scale * inner / (nx * ny),
+           "htilde_gap": scale * abs(inner - float(np.dot(x, prof.h_tilde))) / (nx * ny)}
+    norm_angle = ConditionReport(
         kind="NORM_ANGLE", layers=tuple(range(1, d + 1)),
-        eps_by_layer=residuals, headline="angle_residual", samples=1,
-        per_layer={"norm_sq_ratio": ratios,
-                   **_reference_levels(d, ("band_low", "band_high"))},
-        aux=aux, targets=_reference_levels(d, ("angle_residual", *aux)))
-
-
-@dataclass(frozen=True)
-class LipschitzResult:
-    """Scaled layerwise difference ratios 2^{i/2} |G_i(x) - G_i(y)| / |x - y|.
-
-    in_ball says whether |x - y| <= d sqrt(eps) |y|.  The bound of 1.2
-    (the lipschitz_ratio reference level) is proved inside that ball and
-    for a small per-layer deviation of the masked Grams from I/2 on the
-    range; the k=4 d=3 c_bar=2 recipe widths do not meet the second
-    hypothesis.  The ratios are reported either way.
-    """
-
-    ratios: tuple
-    in_ball: bool
+        eps_by_layer=tuple(abs(thetas[j] - g_theta(thetas[j - 1]))
+                           for j in range(1, d + 1)),
+        headline="angle_residual", samples=1,
+        per_layer={"norm_sq_ratio": tuple(float(np.dot(gx[j], gx[j])) / nx ** 2
+                                          for j in range(1, d + 1)),
+                   **_reference_levels(d, ("band_low", "band_high")),
+                   "lipschitz_ratio": tuple(
+                       2.0 ** (j / 2.0) * float(np.linalg.norm(gx[j] - gn[j])) / n_diff
+                       for j in range(1, d + 1))},
+        aux=aux, targets=_reference_levels(d, ("angle_residual", "lipschitz_ratio", *aux)))
+    aux = {"gram_gap": scale * spectral_norm(gram - np.eye(net.k) / scale),
+           "sq_norm_scaled": scale * float(np.linalg.eigvalsh(gram)[-1]),
+           "htilde_gap": scale * float(np.linalg.norm(lam.T @ gy[-1] - prof.h_tilde)) / ny,
+           "convexity_residual": float(np.linalg.norm(scale * v - diff) / n_diff)}
+    return norm_angle, ConditionReport(kind="LAMBDA_CONC", samples=1, aux=aux,
+                                       targets=_reference_levels(d, aux))
 
 
 @_guarded
-def lipschitz_check(net, x, y):
-    outs_x = forward(net, x)
-    outs_y = forward(net, y)
-    diff = float(np.linalg.norm(outs_x[0] - outs_y[0]))
-    d = net.depth
-    if diff == 0.0:
-        return LipschitzResult(ratios=(0.0,) * d, in_ball=True)
-    in_ball = diff <= d * math.sqrt(REF_EPS) * float(np.linalg.norm(outs_y[0]))
-    ratios = tuple(2.0 ** (i / 2.0)
-                   * float(np.linalg.norm(outs_x[i] - outs_y[i])) / diff
-                   for i in range(1, d + 1))
-    return LipschitzResult(ratios=ratios, in_ball=bool(in_ball))
+def pair_reports(net, x, y, near):
+    """The NORM_ANGLE and LAMBDA_CONC reports of one latent pair (x, y),
+    with near a second point close to x.
 
+    NORM_ANGLE, per layer j: the headline angle_residual
+    |theta_j - g(theta_{j-1})| between G_j(x) and G_j(y), target
+    4 sqrt(eps); norm_sq_ratio |G_j(x)|^2 / |x|^2 with its expected band
+    [(1/2 - eps)^j, (1/2 + eps)^j]; and lipschitz_ratio
+    2^{j/2} |G_j(x) - G_j(near)| / |x - near|, target 1.2.  That bound is
+    proved for |x - near| <= d sqrt(eps) |near| and a small per-layer
+    deviation of the masked Grams from I/2 on the range; the k=4 d=3
+    c_bar=2 recipe widths do not meet the second hypothesis, and the
+    ratios are reported either way.  aux carries the scaled output inner
+    product 2^d <G(x), G(y)> / (|x| |y|) (theory floor 1/(4 pi)) and its
+    gap htilde_gap to the h_tilde prediction (target 24 d^3 sqrt(eps)).
+    The report is scale invariant in x and y.
 
-@_guarded
-def convexity_direction_check(net, x, y):
-    """Relative residual of the descent-direction identity
+    LAMBDA_CONC, scaled by 2^d so its targets are depth-free:
+      gram_gap           2^d || Lambda_x^T Lambda_x - I / 2^d ||, target 4 d eps
+      sq_norm_scaled     2^d lambda_max(Lambda_x^T Lambda_x),     target 13/12
+      htilde_gap         2^d |Lambda_x^T G(y) - h_tilde| / |y|,   target 24 d^3 sqrt(eps)
+      convexity_residual |2^d Lambda_x^T (G(x) - G(near)) - (x - near)| / |x - near|
+    The last is the relative residual of the descent-direction identity
+    whose smallness makes the landscape behave convexly around the
+    signal.  It is bounded by gram_gap, plus about 1/16 plus lower order
+    for the masks that near flips (target 1/16 + 0.05); when near shares
+    x's masks gram_gap alone bounds it.
 
-        2^d Lambda_x^T (G(x) - G(y)) ~ x - y,
-
-    whose smallness is what makes the landscape behave convexly around
-    the signal.  The residual is bounded by the first-order term
-    2^d || Lambda_x^T Lambda_x - I / 2^d ||, plus about 1/16 plus lower
-    order on top of it for the masks that y flips; when y shares x's
-    masks the first-order term alone bounds it.  Requires x != y.
+    x and y must be nonzero and near must differ from x.  A latent whose
+    output is exactly zero at some layer, or an x on an activation
+    boundary, raises a ValidationError naming the point and the layer.
     """
-    x = check_array(x, "x", (net.k,))
-    y = check_array(y, "y", (net.k,))
-    if np.array_equal(x, y):
-        raise ValidationError("x and y must differ")
-    outs_x = forward(net, x)
-    masks = [o > 0.0 for o in outs_x[1:]]
-    gy = forward(net, y)[-1]
-    v = apply_masked_t(net, masks, outs_x[-1] - gy)
-    diff = x - y
-    return float(np.linalg.norm(2.0 ** net.depth * v - diff)
-                 / np.linalg.norm(diff))
+    return _pair(net, x, y, near)
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +653,10 @@ def run_condition_suite(net, samples, seed, pairs=25, recipe=None):
     """All net-only condition checks bundled into one report list.
 
     Per layer: classic and range-restricted gram deviations over
-    `samples` draws.  Over `pairs` Gaussian latent pairs: worst-case
-    norm/angle statistics, linearization concentration, and (on a nearby
-    second point) difference ratios and the descent-direction residual.
+    `samples` draws.  Over `pairs` Gaussian latent pairs (x, y), each
+    with a point near x 5% of |x| away: the worst case of each statistic
+    of pair_reports.  A pair with a latent that collapses to zero at some
+    layer is skipped and counted in the skipped column of both reports.
     A final PATTERN_COUNT report carries the log affine-piece bounds per
     partial depth, plus the width-recipe margins when recipe is given.
     """
@@ -695,36 +667,43 @@ def run_condition_suite(net, samples, seed, pairs=25, recipe=None):
     reports = [wdc_deviation(net.weights[i - 1], samples, seed, layer=i) for i in layers]
     reports += [r2wdc_deviation(net, i, samples, seed) for i in layers]
 
-    nas, lcs, lips, convs = [], [], [], []
+    kept = []
     for j in range(pairs):
         rng = sub_rng(seed, DOMAIN_SAMPLE, j)
         x = rng.standard_normal(net.k)
         y = rng.standard_normal(net.k)
         near = x + 0.05 * float(np.linalg.norm(x)) * unit_vector(rng, net.k)
-        nas.append(norm_angle_report(net, x, y))
-        lcs.append(lambda_concentration(net, x, y))
-        lips.append(lipschitz_check(net, x, near))
-        convs.append(convexity_direction_check(net, x, near))
-    ratios = np.array([r.per_layer["norm_sq_ratio"] for r in nas])
+        try:
+            kept.append(_pair(net, x, y, near))
+        except _Collapsed:
+            pass
+    if not kept:
+        raise ValidationError(f"NORM_ANGLE and LAMBDA_CONC: all {pairs} latent pairs "
+                              "collapse to zero at some layer")
+    nas, lcs = zip(*kept)
+    skipped = pairs - len(kept)
 
+    def series(name):
+        return np.array([r.per_layer[name] for r in nas])
+
+    ratios = series("norm_sq_ratio")
     aux = {"inner_scaled_min": min(r.aux["inner_scaled"] for r in nas),
            "htilde_gap_max": max(r.aux["htilde_gap"] for r in nas)}
     reports.append(ConditionReport(
         kind="NORM_ANGLE", layers=layers,
         eps_by_layer=tuple(np.max([r.eps_by_layer for r in nas], axis=0)),
-        headline="angle_residual", samples=pairs, seed=int(seed),
+        headline="angle_residual", samples=pairs, skipped=skipped, seed=int(seed),
         per_layer={"norm_sq_ratio_min": tuple(ratios.min(axis=0)),
                    "norm_sq_ratio_max": tuple(ratios.max(axis=0)),
                    **_reference_levels(d, ("band_low", "band_high")),
-                   "lipschitz_ratio_max": tuple(np.max([r.ratios for r in lips],
-                                                       axis=0))},
+                   "lipschitz_ratio_max": tuple(series("lipschitz_ratio").max(axis=0))},
         aux=aux, targets=_reference_levels(
             d, ("angle_residual", "lipschitz_ratio_max", *aux))))
-    aux = {"gram_gap_max": max(r.aux["gram_gap"] for r in lcs),
-           "sq_norm_scaled_max": max(r.aux["sq_norm_scaled"] for r in lcs),
-           "convexity_residual_max": max(convs)}
-    reports.append(ConditionReport(kind="LAMBDA_CONC", samples=pairs, seed=int(seed),
-                                   aux=aux, targets=_reference_levels(d, aux)))
+    aux = {f"{name}_max": max(r.aux[name] for r in lcs)
+           for name in ("gram_gap", "sq_norm_scaled", "convexity_residual")}
+    reports.append(ConditionReport(kind="LAMBDA_CONC", samples=pairs, skipped=skipped,
+                                   seed=int(seed), aux=aux,
+                                   targets=_reference_levels(d, aux)))
 
     aux = {}
     per_layer = {}

@@ -216,13 +216,17 @@ def linear_path(net, x):
     matrix-free transposed product when that ever matters.
     """
     x = check_array(x, "x", (net.k,))
-    masks = []
+    masks = tuple(_freeze(z > 0.0) for z, _ in _layers(net, x))
+    return LinearPath(masks=masks, mats=tuple(map(_freeze, _path_mats(net, masks))))
+
+
+def _path_mats(net, masks):
+    """[Lambda_0 = I, ..., Lambda_d] for the mask sequence masks, one
+    boolean vector per layer: Lambda_j = D_j W_j Lambda_{j-1}."""
     mats = [np.eye(net.k)]
-    for w, (z, _) in zip(net.weights, _layers(net, x)):
-        m = z > 0.0
-        masks.append(_freeze(m))
+    for w, m in zip(net.weights, masks):
         mats.append(m[:, None] * (w @ mats[-1]))
-    return LinearPath(masks=tuple(masks), mats=tuple(_freeze(m) for m in mats))
+    return mats
 
 
 def apply_masked_t(net, masks, w_vec):

@@ -13,9 +13,7 @@ import pytest
 
 from gpnet.blas import blas_threads, set_blas_threads
 from gpnet.cli import main
-from gpnet.conditions import (activation_gram_mc, convexity_direction_check,
-                              lipschitz_check, norm_angle_report,
-                              pattern_count_exact)
+from gpnet.conditions import REF_EPS, activation_gram_mc, pair_reports, pattern_count_exact
 from gpnet.geometry import q_lipschitz_gap, q_matrix, spectral_norm
 from gpnet.harness import ExperimentSpec, run_experiment
 from gpnet.net import (contractive_example_dims, forward, linear_path,
@@ -196,6 +194,12 @@ def _recipe_points(net):
         yield x, y, near
 
 
+def _in_ball(net, x, near):
+    """|x - near| <= d sqrt(eps) |near|, the ball the Lipschitz ratio's
+    bound of 1.2 is proved in."""
+    return np.linalg.norm(x - near) <= net.depth * math.sqrt(REF_EPS) * np.linalg.norm(near)
+
+
 def _scaled_gram_gap(net, path):
     """2^d || Lambda_x^T Lambda_x - I / 2^d ||."""
     scale = 2.0 ** net.depth
@@ -257,15 +261,16 @@ def test_concentration_bands_on_recipe_net():
         gram = _scaled_gram_gap(net, path)
         assert gram <= np.prod(1.0 + delta_x) - 1.0, (gram, delta_x)
         gram_max = max(gram_max, gram)
-        ratios = norm_angle_report(net, x, y).per_layer["norm_sq_ratio"]
+        norm_angle, lam_conc = pair_reports(net, x, y, near)
+        ratios = norm_angle.per_layer["norm_sq_ratio"]
         if any(r < l or r > h for r, l, h in zip(ratios, lo, hi)):
             band_violations += 1
-        lip = lipschitz_check(net, x, near)
-        assert lip.in_ball
+        assert _in_ball(net, x, near)
+        lip = norm_angle.per_layer["lipschitz_ratio"]
         band = np.sqrt(np.cumprod(1.0 + np.maximum(delta_x, delta_near)))
-        assert np.all(np.array(lip.ratios) <= band), (lip.ratios, band)
-        lip_max = max(lip_max, max(lip.ratios))
-        conv = convexity_direction_check(net, x, near)
+        assert np.all(np.array(lip) <= band), (lip, band)
+        lip_max = max(lip_max, max(lip))
+        conv = lam_conc.aux["convexity_residual"]
         assert conv - gram <= 1.0 / 16.0 + 0.05, (conv, gram)
         conv_max = max(conv_max, conv)
     assert gram_max == pytest.approx(PIN_GRAM_MAX, rel=1e-9)
@@ -284,11 +289,11 @@ def test_concentration_bands_on_recipe_net():
     assert wide.dims == (4, 1959, 1567, 1175)
     net = sample_gaussian_net(wide.dims, 0)
     gram_max = lip_max = 0.0
-    for x, _, near in _recipe_points(net):
+    for x, y, near in _recipe_points(net):
         gram_max = max(gram_max, _scaled_gram_gap(net, linear_path(net, x)))
-        lip = lipschitz_check(net, x, near)
-        assert lip.in_ball
-        lip_max = max(lip_max, max(lip.ratios))
+        assert _in_ball(net, x, near)
+        lip = pair_reports(net, x, y, near)[0].per_layer["lipschitz_ratio"]
+        lip_max = max(lip_max, max(lip))
     assert gram_max <= 0.5
     assert lip_max <= 1.2
     assert gram_max == pytest.approx(PIN_GRAM_MAX_CBAR8, rel=1e-9)

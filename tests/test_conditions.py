@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import math
@@ -6,13 +7,12 @@ import numpy as np
 import pytest
 
 from gpnet.conditions import (ConditionReport, _write_text, activation_gram_mc,
-                              convexity_direction_check, lambda_concentration,
-                              lipschitz_check, log_piece_count_bounds,
-                              masked_gram_deviation, noise_coupling,
-                              norm_angle_report, omega, pattern_count_exact,
+                              log_piece_count_bounds, masked_gram_deviation,
+                              noise_coupling, omega, pair_reports, pattern_count_exact,
                               r2wdc_deviation, r2wdc_tuple_value, reports_csv_text,
                               rric_deviation, run_condition_suite, wdc_deviation)
 from gpnet import blas, conditions
+from gpnet import net as gnet
 from gpnet.errors import ValidationError
 from gpnet.geometry import DistortionMatrix, q_matrix, spectral_norm
 from gpnet.harness import _parse_recipe
@@ -315,16 +315,16 @@ def test_sampled_checks_reject_overflowing_nets(kind, check):
         check(net)
 
 
-@pytest.mark.parametrize("name", ["noise_coupling", "lipschitz_check", "norm_angle_report",
-                                  "lambda_concentration", "convexity_direction_check"])
+@pytest.mark.parametrize("name", ["noise_coupling", "pair_reports"])
 def test_pair_checks_reject_overflowing_nets(name):
     # weights scaled by 1e160 used to give NOISE maxima of 0, Lipschitz
     # ratios (inf, nan) and errors about x, mat or w_vec, each after a
     # RuntimeWarning
     small = sample_gaussian_net((3, 20, 30), 0)
     net = GenerativeNet(dims=small.dims, weights=tuple(1e160 * w for w in small.weights))
+    y = np.array([1.0, -2.0, 0.5])
     args = ((np.eye(30)[:10], np.ones(10), 3, 0) if name == "noise_coupling"
-            else (np.ones(3), np.array([1.0, -2.0, 0.5])))
+            else (np.ones(3), y, y))
     with pytest.raises(ValidationError, match=rf"^{name}: the net overflows float64"):
         getattr(conditions, name)(net, *args)
 
@@ -662,6 +662,11 @@ def test_log_piece_bounds_frozen():
 # linearization concentration
 # ---------------------------------------------------------------------------
 
+def _near(rng, x):
+    """The suite's second point: 5% of |x| away from x."""
+    return x + 0.05 * float(np.linalg.norm(x)) * unit_vector(rng, x.size)
+
+
 def test_lambda_concentration_identity_like_layer():
     # W = [I; -I]: for a positive latent the mask keeps exactly the identity
     # block, so Lambda^T Lambda = I and the statistics have closed forms
@@ -669,7 +674,7 @@ def test_lambda_concentration_identity_like_layer():
     w = np.vstack([np.eye(k), -np.eye(k)])
     net = GenerativeNet(dims=(k, 2 * k), weights=(w,))
     x = np.array([1.0, 2.0, 0.5, 3.0])
-    rep = lambda_concentration(net, x, x)
+    _, rep = pair_reports(net, x, x, 1.5 * x)
     assert abs(rep.aux["sq_norm_scaled"] - 2.0) < 1e-12
     assert abs(rep.aux["gram_gap"] - 1.0) < 1e-12  # 2 ||I - I/2|| = 1
 
@@ -678,39 +683,56 @@ def test_lambda_concentration_htilde_consistency():
     # with y = x the prediction h_tilde = x / 2^d, so the htilde gap is
     # bounded by the gram gap (both measure Lambda^T Lambda - I / 2^d)
     net = desk_net()
-    x = sub_rng(3, DOMAIN_SAMPLE, 0).standard_normal(4)
-    rep = lambda_concentration(net, x, x)
+    rng = sub_rng(3, DOMAIN_SAMPLE, 0)
+    x = rng.standard_normal(4)
+    _, rep = pair_reports(net, x, x, _near(rng, x))
     assert rep.aux["htilde_gap"] <= rep.aux["gram_gap"] + 1e-10
 
 
 def test_lambda_concentration_boundary_guard():
     w = np.array([[1.0, -1.0], [0.5, 0.5]])
     net = GenerativeNet(dims=(2, 2), weights=(w,))
-    with pytest.raises(ValidationError):
-        lambda_concentration(net, np.array([1.0, 1.0]), np.array([0.3, 0.1]))
+    with pytest.raises(ValidationError, match="^x sits exactly on an activation boundary "
+                                              "of layer 1"):
+        pair_reports(net, np.array([1.0, 1.0]), np.array([0.3, 0.1]), np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("x,y,where", [
+    ([-1.0, -2.0], [0.3, 0.1], "^x collapses to zero at layer 1"),
+    ([1.0, 2.0], [-1.0, -1.0], "^y collapses to zero at layer 1"),
+    ([2.0, 1.0], [0.3, 0.1], "^x collapses to zero at layer 2")])
+def test_pair_reports_name_a_collapsed_point(x, y, where):
+    # a collapsed x also zeroes the next layer's z, which the boundary
+    # check would blame; the collapse is reported first
+    w2 = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    net = GenerativeNet(dims=(2, 2, 2), weights=(np.eye(2), w2))
+    with pytest.raises(ValidationError, match=where):
+        pair_reports(net, np.array(x), np.array(y), np.array([0.5, 0.5]))
 
 
 def test_lambda_bytes_do_not_depend_on_caller_blas_threads(caller_blas_threads):
-    # linear_path's dense products round differently on two threads
+    # the dense Lambda products round differently on two threads
     for c_bar in (2, 8):
         net = sample_gaussian_net(_parse_recipe(f"k=4 d=3 c_bar={c_bar}").dims, 0)
-        pairs = []
+        points = []
         for j in range(10):
             rng = sub_rng(1, DOMAIN_SAMPLE, j)
-            pairs.append((rng.standard_normal(net.k), rng.standard_normal(net.k)))
+            x, y = rng.standard_normal(net.k), rng.standard_normal(net.k)
+            points.append((x, y, _near(rng, x)))
         texts = []
         for n in (1, 2):
             blas.set_blas_threads(n)
-            texts.append(reports_csv_text([lambda_concentration(net, x, y)
-                                           for x, y in pairs]))
+            texts.append(reports_csv_text([rep for p in points
+                                           for rep in pair_reports(net, *p)]))
             assert blas.blas_threads() == n
         assert texts[0] == texts[1], c_bar
 
 
 def test_norm_angle_x_equals_y():
     net = desk_net()
-    x = sub_rng(4, DOMAIN_SAMPLE, 1).standard_normal(4)
-    rep = norm_angle_report(net, x, x)
+    rng = sub_rng(4, DOMAIN_SAMPLE, 1)
+    x = rng.standard_normal(4)
+    rep, _ = pair_reports(net, x, x, _near(rng, x))
     assert rep.kind == "NORM_ANGLE"
     assert all(r == 0.0 for r in rep.eps_by_layer)  # angles stay exactly zero
     assert rep.aux["inner_scaled"] > 0.0
@@ -721,9 +743,10 @@ def test_norm_angle_scale_invariance():
     rng = sub_rng(5, DOMAIN_SAMPLE, 2)
     x = rng.standard_normal(4)
     y = rng.standard_normal(4)
-    a = norm_angle_report(net, x, y)
-    b = norm_angle_report(net, 3.0 * x, 2.0 * y)
-    for name in ("norm_sq_ratio", "band_low", "band_high"):
+    near = _near(rng, x)
+    a, _ = pair_reports(net, x, y, near)
+    b, _ = pair_reports(net, 3.0 * x, 2.0 * y, 3.0 * near)
+    for name in ("norm_sq_ratio", "band_low", "band_high", "lipschitz_ratio"):
         assert np.allclose(a.per_layer[name], b.per_layer[name], rtol=1e-12, atol=1e-12)
     assert np.allclose(a.eps_by_layer, b.eps_by_layer, atol=1e-10)
     assert abs(a.aux["inner_scaled"] - b.aux["inner_scaled"]) < 1e-10
@@ -731,12 +754,62 @@ def test_norm_angle_scale_invariance():
 
 def test_norm_angle_band_structure():
     net = desk_net()
-    rep = norm_angle_report(net, np.array([1.0, 0.2, -0.3, 0.5]),
-                            np.array([0.1, -1.0, 0.4, 0.2]))
+    x = np.array([1.0, 0.2, -0.3, 0.5])
+    rep, _ = pair_reports(net, x, np.array([0.1, -1.0, 0.4, 0.2]), 1.05 * x)
     for j, (lo, hi) in enumerate(zip(rep.per_layer["band_low"],
                                      rep.per_layer["band_high"]), start=1):
         assert abs(lo - 0.3 ** j) < 1e-12
         assert abs(hi - 0.7 ** j) < 1e-12
+
+
+@pytest.mark.parametrize("dims,seed,skipped", [((4, 60, 50, 40), 3, 0), ((2, 3, 3), 0, 1)])
+def test_suite_pair_rows_reduce_pair_reports(dims, seed, skipped):
+    # every NORM_ANGLE and LAMBDA_CONC row of the suite is the max (or, for
+    # a _min statistic, the min) of pair_reports' row over the suite's own
+    # draws; a pair with a collapsed latent is skipped and counted
+    net = sample_gaussian_net(dims, 0)
+    pairs = 6 if skipped == 0 else 3
+    suite = [r for r in run_condition_suite(net, 2, seed, pairs=pairs)
+             if r.kind in ("NORM_ANGLE", "LAMBDA_CONC")]
+    per_pair = []
+    for j in range(pairs):
+        rng = sub_rng(seed, DOMAIN_SAMPLE, j)
+        x, y = rng.standard_normal(net.k), rng.standard_normal(net.k)
+        try:
+            reps = pair_reports(net, x, y, _near(rng, x))
+        except ValidationError as e:
+            assert "collapses to zero" in str(e)
+            continue
+        per_pair.append({row[:3]: row[3] for rep in reps for row in rep.rows()})
+    assert len(per_pair) == pairs - skipped
+    rows = [row for rep in suite for row in rep.rows()]
+    assert len(rows) == 6 * net.depth + 5
+    # every pair statistic is reduced, bar LAMBDA_CONC's htilde_gap
+    reduced = {(k, s.removesuffix("_max").removesuffix("_min")) for k, _, s, *_ in rows}
+    assert reduced == {(k, s) for k, _, s in per_pair[0]} - {("LAMBDA_CONC", "htilde_gap")}
+    for kind, layer, stat, value, _, samples, skip, _ in rows:
+        base = stat.removesuffix("_max").removesuffix("_min")
+        pick = min if stat.endswith("_min") else max
+        assert value == pick(p[kind, layer, base] for p in per_pair), stat
+        assert (samples, skip) == (pairs, skipped)
+
+
+def test_pair_loop_sweeps_each_point_once(monkeypatch):
+    # x, y and near are swept forward once each, and Lambda_x^T once
+    calls = collections.Counter()
+    for name in ("forward", "preactivations", "linear_path", "apply_masked_t"):
+        def counted(*args, _fn=getattr(gnet, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(conditions, name, counted, raising=False)
+    net = sample_gaussian_net((4, 60, 50, 40), 0)
+    sweeps = []
+    for pairs in (2, 5):
+        calls.clear()
+        run_condition_suite(net, 2, 3, pairs=pairs)
+        sweeps.append((calls["forward"] + calls["preactivations"] + calls["linear_path"],
+                       calls["apply_masked_t"]))
+    assert (sweeps[1][0] - sweeps[0][0], sweeps[1][1] - sweeps[0][1]) == (3 * 3, 3)
 
 
 def test_suite_reference_levels_have_their_closed_forms():
@@ -765,11 +838,12 @@ def test_suite_reference_levels_have_their_closed_forms():
 
 
 def test_lipschitz_identical_points():
+    # the ratios over |x - near| and the convexity residual are undefined
+    # at near == x, so the pair is rejected
     net = desk_net()
     x = np.ones(4)
-    res = lipschitz_check(net, x, x)
-    assert res.ratios == (0.0, 0.0)
-    assert res.in_ball
+    with pytest.raises(ValidationError, match="^near must differ from x"):
+        pair_reports(net, x, x, x)
 
 
 def test_lipschitz_identity_like_layer():
@@ -777,31 +851,33 @@ def test_lipschitz_identity_like_layer():
     w = np.vstack([np.eye(k), -np.eye(k)])
     net = GenerativeNet(dims=(k, 2 * k), weights=(w,))
     x = np.array([1.0, 1.0, 1.0])
-    y = np.array([2.0, 1.5, 1.2])
-    res = lipschitz_check(net, x, y)
+    near = np.array([2.0, 1.5, 1.2])
+    rep, _ = pair_reports(net, x, x, near)
     # G moves exactly like the identity on the positive orthant, so the
     # scaled ratio is sqrt(2)
-    assert abs(res.ratios[0] - math.sqrt(2.0)) < 1e-12
+    assert abs(rep.per_layer["lipschitz_ratio"][0] - math.sqrt(2.0)) < 1e-12
 
 
 def test_convexity_requires_distinct_points():
+    # y may equal x; near may not
     net = desk_net()
     x = np.ones(4)
-    with pytest.raises(ValidationError):
-        convexity_direction_check(net, x, x)
+    pair_reports(net, x, x, 1.1 * x)
+    with pytest.raises(ValidationError, match="^near must differ from x"):
+        pair_reports(net, x, 2.0 * x, x)
 
 
 def test_convexity_matches_direct_formula():
     net = desk_net()
     rng = sub_rng(6, DOMAIN_SAMPLE, 3)
     x = rng.standard_normal(4)
-    y = x + 0.01 * rng.standard_normal(4)
-    res = convexity_direction_check(net, x, y)
+    near = x + 0.01 * rng.standard_normal(4)
+    _, rep = pair_reports(net, x, rng.standard_normal(4), near)
     lam_x = linear_path(net, x).lam
-    gy = forward(net, y)[-1]
-    direct = np.linalg.norm(4.0 * lam_x.T @ (lam_x @ x - gy) - (x - y)) \
-        / np.linalg.norm(x - y)
-    assert abs(res - direct) < 1e-10
+    g_near = forward(net, near)[-1]
+    direct = np.linalg.norm(4.0 * lam_x.T @ (lam_x @ x - g_near) - (x - near)) \
+        / np.linalg.norm(x - near)
+    assert abs(rep.aux["convexity_residual"] - direct) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1050,6 +1050,7 @@ def _cli_outcome(argv):
     assert "Traceback" not in err
     assert (code == 0) or err.startswith("error:")
     assert (code != 0) or not re.search(r"\bnan\b", out.getvalue())  # no silent NaN
+    return code
 
 
 @settings(max_examples=30, deadline=None)
@@ -1122,6 +1123,22 @@ def test_cli_condition_sample_fuzz_ends_in_an_exit_code(data, command):
     elif command == "conditions":
         argv += ["--pairs", data.draw(st.integers(-2, 3))]
     _cli_outcome(list(map(str, argv)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+       seed=st.integers(0, 2 ** 32), net_seed=st.integers(0, 2 ** 32))
+def test_cli_conditions_tiny_net_fuzz_ends_in_an_exit_code(dims, seed, net_seed,
+                                                           tmp_path_factory):
+    # tiny nets collapse latents and repeat range points; a suite that
+    # finishes reports finite values only
+    out = tmp_path_factory.mktemp("fuzz") / "conditions.csv"
+    code = _cli_outcome(["conditions", "--dims", ",".join(map(str, dims)), "--samples", "3",
+                         "--pairs", "3", "--seed", str(seed), "--net-seed", str(net_seed),
+                         "--out", str(out)])
+    if code == 0:
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert all(math.isfinite(float(r["value"])) for r in rows)
 
 
 _INI_TOKENS = st.one_of(

@@ -10,9 +10,8 @@ import pytest
 from gpnet import net as gnet
 from gpnet.errors import ValidationError
 from gpnet.cli import main
-from gpnet.conditions import (activation_gram_mc, convexity_direction_check,
-                              lambda_concentration, log_piece_count_bounds,
-                              masked_gram_deviation, noise_coupling, omega,
+from gpnet.conditions import (activation_gram_mc, log_piece_count_bounds,
+                              masked_gram_deviation, noise_coupling, omega, pair_reports,
                               pattern_count_exact, r2wdc_deviation, r2wdc_tuple_value,
                               rric_deviation, run_condition_suite, wdc_deviation)
 from gpnet.geometry import (angle_between, angle_profile, q_lipschitz_gap, q_matrix,
@@ -211,14 +210,12 @@ ARRAY_SITES = [
      lambda v: activation_gram_mc(v, ARRAY_Y, 4, 3, 0)),
     ("activation_gram_mc-s", "s", ARRAY_Y,
      lambda v: activation_gram_mc(ARRAY_X, v, 4, 3, 0)),
-    ("lambda_concentration-x", "x", ARRAY_X,
-     lambda v: lambda_concentration(COUNT_NET, v, ARRAY_Y)),
-    ("lambda_concentration-y", "y", ARRAY_Y,
-     lambda v: lambda_concentration(COUNT_NET, ARRAY_X, v)),
-    ("convexity_direction_check-x", "x", ARRAY_X,
-     lambda v: convexity_direction_check(COUNT_NET, v, ARRAY_Y)),
-    ("convexity_direction_check-y", "y", ARRAY_Y,
-     lambda v: convexity_direction_check(COUNT_NET, ARRAY_X, v)),
+    ("pair_reports-x", "x", ARRAY_X,
+     lambda v: pair_reports(COUNT_NET, v, ARRAY_Y, ARRAY_Y)),
+    ("pair_reports-y", "y", ARRAY_Y,
+     lambda v: pair_reports(COUNT_NET, ARRAY_X, v, ARRAY_Y)),
+    ("pair_reports-near", "near", ARRAY_Y,
+     lambda v: pair_reports(COUNT_NET, ARRAY_X, ARRAY_Y, v)),
     ("make_instance-x_star", "x_star", ARRAY_X,
      lambda v: make_instance("DEN", COUNT_NET, x_star=v, seed=0)),
     ("make_instance-eta", "eta", np.zeros(20),
