@@ -14,13 +14,13 @@ from .conditions import (_PATTERN_MAX_ROWS, _csv_text, _write_text, pattern_coun
                          r2wdc_deviation, reports_csv_text, rric_deviation,
                          run_condition_suite, wdc_deviation)
 from .errors import DivergenceError, InfeasibleError, ValidationError, check_count
-from .harness import (_INSTANCE_KEYS, _SOLVER_KEYS, _parse_ints, _parse_recipe,
-                      experiment_csv_text, parse_experiment_config, run_experiment,
-                      summary_csv_text, summary_path_for)
+from .harness import (_parse_ints, _parse_recipe, experiment_csv_text,
+                      parse_experiment_config, run_experiment, summary_csv_text,
+                      summary_path_for)
 from .net import load_net, sample_gaussian_net, save_net
 from .rng import DOMAIN_SAMPLE, sub_rng
-from .solvers import (KINDS, SolverConfig, _instance_row, make_instance,
-                      sensing_matrix, solve)
+from .solvers import (INSTANCE_ARGS, KINDS, SOLVER_ARGS, SolverConfig, _instance_row,
+                      make_instance, sensing_matrix, solve)
 
 _PATTERN_MAX_COLS = 10 ** 5  # a 20 x 10^5 draw is 16 MB
 _RECIPE_HELP = "contractive recipe, e.g. 'k=4 d=3 c_bar=2'"
@@ -82,14 +82,14 @@ def _cmd_recipe(args):
 
 def _cmd_solve(args):
     check_count(args.trace_stride, "--trace-stride")
-    given = _given(args, *_INSTANCE_KEYS)
+    given = _given(args, *INSTANCE_ARGS)
     _instance_row(args.kind, given)  # before the net is sampled
     net, _ = _net_from_args(args)
     inst = make_instance(args.kind, net, seed=args.seed, **given)
     if not inst.y_star.any():
         raise ValidationError("the planted signal G(x_star) is zero, so its relative "
                               "error is undefined; try another --seed or net")
-    cfg = SolverConfig(seed=args.seed, **_given(args, *_SOLVER_KEYS))
+    cfg = SolverConfig(seed=args.seed, **_given(args, *SOLVER_ARGS))
     tr = solve(inst, cfg)
     print(f"kind={args.kind} steps={tr.n_steps} stop={tr.stop_reason} "
           f"negations={len(tr.negations)} "
@@ -210,7 +210,7 @@ def build_parser():
     p = sub.add_parser("solve", help="build one instance and run the solver",
                        parents=[source, seeded])
     p.add_argument("--kind", required=True, help="|".join(KINDS))
-    for key, kind in (_INSTANCE_KEYS | _SOLVER_KEYS).items():
+    for key, kind in (INSTANCE_ARGS | SOLVER_ARGS).items():
         p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.add_argument("--trace-stride", type=int, default=1,
                    help="write every stride-th trace row, plus the last")

@@ -491,9 +491,9 @@ def pattern_count_exact(w, basis):
     """
     w = check_array(w, "w", (None, None))
     m, n = w.shape
-    if m > _PATTERN_MAX_ROWS:
+    if not 1 <= m <= _PATTERN_MAX_ROWS:
         raise ValidationError(
-            f"exact pattern counting supports at most {_PATTERN_MAX_ROWS} rows, got {m}")
+            f"exact pattern counting supports 1 to {_PATTERN_MAX_ROWS} rows, got {m}")
     basis = check_array(basis, "basis", (n, None))
     ell = basis.shape[1]
     if ell not in (1, 2, 3):

@@ -21,11 +21,11 @@ Config files use INI syntax:
     dims = 8, 250, 600       ; or recipe = k=4 d=3 c_bar=2
     seed = 11
 
-    [instance]               ; those of m, sigma, eta_norm, n_samples the kind takes
+    [instance]               ; those of solvers.INSTANCE_ARGS the kind takes
     m = 150
     eta_norm = 0.1
 
-    [solver]                 ; any of c_step, t_max, rel_step_tol
+    [solver]                 ; any of solvers.SOLVER_ARGS
     c_step = 0.2
     t_max = 1000
 
@@ -40,8 +40,8 @@ rejected.  So are an unknown section or key, a [net] with both or
 neither of dims and recipe, an instance argument (key or sweep) that
 the kind does not take, a kind without the m or n_samples it needs,
 two noise sources (a sigma sweep over an eta_norm), and an [instance]
-m or sigma that the sweep would replace.  Reported errors are relative
-to the planted latent and signal norms.
+m or sigma (0 too) that the sweep would replace.  Reported errors are
+relative to the planted latent and signal norms.
 """
 
 from collections.abc import Callable
@@ -59,7 +59,8 @@ from .blas import blas_threads, set_blas_threads
 from .conditions import _csv_text
 from .errors import DivergenceError, ValidationError, check_count
 from .net import check_dims, contractive_example_dims, sample_gaussian_net
-from .solvers import SolverConfig, _instance_row, make_instance, solve
+from .solvers import (INSTANCE_ARGS, SOLVER_ARGS, SolverConfig, _instance_row,
+                      make_instance, solve)
 
 
 class _Axis(NamedTuple):
@@ -88,7 +89,8 @@ SUMMARY_COLUMNS = ("sweep_value", "cells", "failed", "signal_err_q1",
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Full description of one sweep; everything a cell needs to rebuild
-    its problem from scratch."""
+    its problem from scratch.  instance maps INSTANCE_ARGS keys to what
+    every cell hands make_instance, and is kept as pairs without None."""
 
     name: str
     kind: str
@@ -97,10 +99,7 @@ class ExperimentSpec:
     seeds: tuple
     dims: tuple
     net_seed: int = 0
-    m: int | None = None
-    sigma: float = 0.0
-    eta_norm: float | None = None
-    n_samples: int | None = None
+    instance: tuple = ()
     solver: SolverConfig = SolverConfig()
     out: str | None = None
 
@@ -122,12 +121,16 @@ class ExperimentSpec:
                 or len(set(self.seeds)) < len(self.seeds):
             raise ValidationError("sweep values and seeds must not repeat")
         object.__setattr__(self, "dims", check_dims(self.dims))
+        if unknown := [a for a in dict(self.instance) if a not in INSTANCE_ARGS]:
+            raise ValidationError(f"{unknown[0]} is not an instance argument")
+        instance = {a: v for a, v in dict(self.instance).items() if v is not None}
+        object.__setattr__(self, "instance", tuple(instance.items()))
         for v in self.sweep_values:  # checks the kind, and each cell's arguments
             _instance_row(self.kind, _instance_args(self, v))
         # a value given for the swept argument would be replaced in every cell
-        if axis.arg and getattr(self, axis.arg) != getattr(ExperimentSpec, axis.arg):
+        if axis.arg in instance:
             raise ValidationError(f"{axis.arg} is swept, so it must not also be given, "
-                                  f"got {axis.arg} = {getattr(self, axis.arg)!r}")
+                                  f"got {axis.arg} = {instance[axis.arg]!r}")
         # likewise the solver seed, which run_cell replaces by each cell's seed
         if self.solver.seed != SolverConfig.seed:
             raise ValidationError("each cell's seed is its solver seed, so solver.seed "
@@ -140,10 +143,8 @@ def _cell_dims(spec, value):
 
 def _instance_args(spec, value):
     """The make_instance arguments of the cells at the sweep value."""
-    args = {"m": spec.m, "sigma": spec.sigma, "eta_norm": spec.eta_norm,
-            "n_samples": spec.n_samples}
     arg = SWEEP_AXES[spec.sweep_axis].arg
-    return args if arg is None else args | {arg: value}
+    return dict(spec.instance) | ({} if arg is None else {arg: value})
 
 
 # the last net a cell of this process used, keyed on (cell dims, net_seed);
@@ -272,11 +273,9 @@ def _number(text, where, kind=float):
 
 
 # the keys each section may give; [instance] and [solver] map theirs to a type
-_INSTANCE_KEYS = {"m": int, "sigma": float, "eta_norm": float, "n_samples": int}
-_SOLVER_KEYS = {"c_step": float, "t_max": int, "rel_step_tol": float}
 _INI_KEYS = {"experiment": {"name", "kind", "sweep", "values", "seeds"},
              "net": {"dims", "recipe", "seed"}, "output": {"path"},
-             "instance": _INSTANCE_KEYS, "solver": _SOLVER_KEYS}
+             "instance": INSTANCE_ARGS, "solver": SOLVER_ARGS}
 
 
 def _ini_fields(cp, section, kinds):
@@ -365,14 +364,11 @@ def parse_experiment_config(text):
     else:
         dims = _parse_recipe(netsec["recipe"]).dims
 
-    solver = SolverConfig(**_ini_fields(cp, "solver", _SOLVER_KEYS))
-    given = _ini_fields(cp, "instance", _INSTANCE_KEYS)
-    if "seed" in netsec:
-        given["net_seed"] = _number(netsec["seed"], "[net] seed", int)
-
-    out = None
-    if "output" in cp and "path" in cp["output"]:
-        out = cp["output"]["path"]
+    solver = SolverConfig(**_ini_fields(cp, "solver", SOLVER_ARGS))
+    instance = _ini_fields(cp, "instance", INSTANCE_ARGS)
+    given = {"net_seed": _number(netsec["seed"], "[net] seed", int)} \
+        if "seed" in netsec else {}
+    out = cp["output"].get("path") if "output" in cp else None
 
     return ExperimentSpec(
         name=exp.get("name", "experiment"),
@@ -382,5 +378,6 @@ def parse_experiment_config(text):
         seeds=_parse_seeds(exp["seeds"]),
         dims=dims,
         **given,
+        instance=instance,
         solver=solver,
         out=out)

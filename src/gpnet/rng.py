@@ -39,9 +39,9 @@ def sub_rng(seed, domain, index=0):
 
 
 def unit_vector(rng, n):
-    """Uniform unit vector in R^n from generator rng; redraws a zero Gaussian."""
+    """Uniform unit vector in R^n, n a count, from rng; redraws a zero Gaussian."""
     while True:
-        v = rng.standard_normal(n)
+        v = rng.standard_normal(check_count(n, "unit vector dimension"))
         nv = np.linalg.norm(v)
         if nv > 0.0:
             return v / nv

@@ -62,7 +62,11 @@ from .net import GenerativeNet, _fields_eq, _gamma, _norm_bound, apply_masked_t,
 from .rng import DOMAIN_INSTANCE, DOMAIN_X0, sub_rng, unit_vector
 
 _X_STAR, _A_MAT, _ETA, _SPIKE_U, _SPIKE_Z, _SPIKE_H = range(6)
-_NOISE = ("eta", "eta_norm", "sigma")  # the noise sources; an instance takes one
+_NOISE = ("sigma", "eta", "eta_norm")  # the noise sources; an instance takes one
+# the numbers of make_instance and SolverConfig, also the [instance] and [solver]
+# INI keys and the solve flags, with their types (an instance int is a count)
+INSTANCE_ARGS = {"m": int, "sigma": float, "eta_norm": float, "n_samples": int}
+SOLVER_ARGS = {"c_step": float, "t_max": int, "rel_step_tol": float}
 _ROW_BLOCK = 256  # rows of B per u y_star^T block, so no N x n_out temporary
 
 
@@ -127,20 +131,27 @@ def _row(kind):
     return _ROWS[kind]
 
 
+def _real(v):
+    """v as a float when it is a real scalar other than a string, else nan."""
+    try:
+        return math.nan if isinstance(v, (str, bytes)) or np.ndim(v) else float(v)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def _instance_row(kind, given):
-    """The table row of kind, once given ({make_instance argument: value})
-    sets only arguments that the kind takes, at most one of eta, eta_norm
-    and a nonzero sigma, and every argument the kind needs; m and n_samples
-    must be counts, sigma and eta_norm finite and nonnegative.  None, and a
-    zero sigma, set nothing."""
+    """(the table row of kind, the arguments given sets) once given
+    ({make_instance argument: value}) sets only arguments the kind takes,
+    at most one of sigma, eta and eta_norm, and all the kind needs, each
+    of its INSTANCE_ARGS type.  None, and a zero sigma, set nothing."""
     row = _row(kind)
     chosen = {a: v for a, v in given.items()
-              if v is not None and not (a == "sigma" and v == 0)}
+              if v is not None and not (a == "sigma" and _real(v) == 0.0)}
     for a in chosen:
         if a not in row.needs + row.noise:
             takers = tuple(k for k, r in _ROWS.items() if a in r.needs + r.noise)
             raise ValidationError(f"{a} is only for the kinds {takers}, not {kind}")
-    noise = [a for a in chosen if a in _NOISE]
+    noise = [a for a in _NOISE if a in chosen]
     if len(noise) > 1:
         raise ValidationError(f"{' and '.join(noise)} are two noise sources; give at "
                               "most one of eta, eta_norm and a nonzero sigma")
@@ -148,14 +159,16 @@ def _instance_row(kind, given):
         if a not in chosen:
             raise ValidationError(f"kind {kind} needs {a}")
     for a, v in chosen.items():
-        if a in ("m", "n_samples"):
-            check_count(v, a)
-        elif a in ("sigma", "eta_norm") and not (math.isfinite(v) and v >= 0.0):
-            raise ValidationError(f"{a} must be finite and nonnegative, got {v!r}")
-    return row
+        if INSTANCE_ARGS.get(a) is int:
+            chosen[a] = check_count(v, a)
+        elif INSTANCE_ARGS.get(a) is float:
+            chosen[a] = _real(v)
+            if not 0.0 <= chosen[a] < math.inf:
+                raise ValidationError(f"{a} must be finite and nonnegative, got {v!r}")
+    return row, chosen
 
 
-def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
+def make_instance(kind, net, *, x_star=None, m=None, sigma=None, eta=None,
                   eta_norm=None, n_samples=None, seed=0):
     """Build an Instance, drawing whatever was not supplied.
 
@@ -163,14 +176,14 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
     the N(0, 1/m) sensing matrix), SPIKED_WISHART needs n_samples (rows
     of B).  Noise: pass eta directly, or eta_norm for a random direction
     of exactly that norm, or sigma for i.i.d. N(0, sigma^2) entries; for
-    the spiked kinds sigma scales the matrix noise.  An argument the kind
-    does not take, a second noise source or a missing count raises a
-    ValidationError (see _instance_row).
+    the spiked kinds sigma scales the matrix noise.  None gives nothing.
+    An argument the kind does not take, a second noise source or a
+    missing count raises a ValidationError (see _instance_row).
     Component draws use fixed sub-streams of seed, so e.g. the sensing
     matrix does not change when a different x_star is provided.
     """
-    given = dict(m=m, eta=eta, eta_norm=eta_norm, sigma=sigma, n_samples=n_samples)
-    row = _instance_row(kind, given)
+    row, args = _instance_row(kind, dict(m=m, sigma=sigma, eta=eta, eta_norm=eta_norm,
+                                         n_samples=n_samples))
 
     if x_star is None:
         x_star = unit_vector(sub_rng(seed, DOMAIN_INSTANCE, _X_STAR), net.k)
@@ -178,7 +191,6 @@ def make_instance(kind, net, *, x_star=None, m=None, sigma=0.0, eta=None,
         x_star = check_array(x_star, "x_star", (net.k,))
         if not np.linalg.norm(x_star) > 0.0:
             raise ValidationError("x_star must be a nonzero latent vector")
-    args = {a: v for a, v in given.items() if v is not None} | {"sigma": float(sigma)}
     # a net or noise too large for float64 overflows to entries that Instance rejects
     with np.errstate(over="ignore", invalid="ignore"):
         y_star = forward(net, x_star)[-1]
@@ -210,7 +222,6 @@ def _sensed_build(measure, y_star, seed, m=None, **noise):
 
 
 def _wishart_build(y_star, seed, n_samples=None, sigma=0.0):
-    n_samples = int(n_samples)  # a count, as _instance_row checked
     n_out = len(y_star)
     check_addressable(n_samples, n_out,
                       f"n_samples gives a {n_samples} x {n_out} sample matrix")
@@ -457,25 +468,21 @@ class SolverConfig:
 class SolveTrace:
     """Per-iteration record of a solve.
 
-    Arrays are aligned: row t holds the post-negation iterate's loss and
-    absolute errors; the last row is the final iterate x_T.  negations
-    lists the iterations whose sign flip fired; sign_checks counts the
-    iterations that evaluated f(-x) (the others proved that the flip
-    could not fire; see solve).  stop_reason is 't_max' or 'step_tol'.
+    rows holds one (iter, f, latent_err, signal_err, negated) tuple per
+    iteration, the post-negation iterate's loss and absolute errors; the
+    last row is the final iterate x_T.  negations lists the iterations
+    whose sign flip fired; sign_checks counts the iterations that
+    evaluated f(-x) (the others proved that the flip could not fire; see
+    solve).  stop_reason is 't_max' or 'step_tol'.
     """
 
-    iters: np.ndarray
-    f: np.ndarray
-    latent_err: np.ndarray
-    signal_err: np.ndarray
-    negated: np.ndarray
+    rows: tuple
     negations: tuple
     n_steps: int
     sign_checks: int
     alpha: float
     stop_reason: str
     final_x: np.ndarray
-    final_f: float
     final_rel_latent_err: float
     final_rel_signal_err: float
 
@@ -483,9 +490,7 @@ class SolveTrace:
         """The trace as CSV: the rows with iter % stride == 0, then the
         final row if that left it out."""
         stride = check_count(stride, "trace stride")
-        cols = (self.iters, self.f, self.latent_err, self.signal_err, self.negated)
-        rows = list(zip(*(c.tolist() for c in cols)))
-        kept = [r for r in rows[:-1] if r[0] % stride == 0] + rows[-1:]
+        kept = [r for r in self.rows[:-1] if r[0] % stride == 0] + [self.rows[-1]]
         return _csv_text(("iter", "f", "latent_err", "signal_err", "negated"), kept)
 
 
@@ -628,13 +633,10 @@ def solve(inst, cfg):
             raise DivergenceError(steps)
         record(steps, x, ev, 0)
 
-    arr = np.asarray(rows, dtype=np.float64)
-    ns = _norm(inst.x_star)
-    ny = _norm(inst.y_star)
+    _, _, latent_err, signal_err, _ = rows[-1]
+    ns, ny = _norm(inst.x_star), _norm(inst.y_star)
     return SolveTrace(
-        iters=arr[:, 0].astype(np.int64), f=arr[:, 1], latent_err=arr[:, 2],
-        signal_err=arr[:, 3], negated=arr[:, 4].astype(np.int8),
-        negations=tuple(negations), n_steps=steps, sign_checks=sign_checks, alpha=alpha,
-        stop_reason=stop_reason, final_x=x, final_f=ev[0],
-        final_rel_latent_err=float(arr[-1, 2]) / ns if ns > 0 else float("nan"),
-        final_rel_signal_err=float(arr[-1, 3]) / ny if ny > 0 else float("nan"))
+        rows=tuple(rows), negations=tuple(negations), n_steps=steps,
+        sign_checks=sign_checks, alpha=alpha, stop_reason=stop_reason, final_x=x,
+        final_rel_latent_err=latent_err / ns if ns > 0 else float("nan"),
+        final_rel_signal_err=signal_err / ny if ny > 0 else float("nan"))

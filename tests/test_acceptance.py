@@ -112,7 +112,7 @@ def test_noise_error_scales_with_measurements():
     spec = ExperimentSpec(
         name="noise-scaling", kind="CS", sweep_axis="m",
         sweep_values=(100, 200, 400, 800), seeds=tuple(range(20)),
-        dims=(8, 250, 600), net_seed=0, eta_norm=0.1,
+        dims=(8, 250, 600), net_seed=0, instance={"eta_norm": 0.1},
         solver=SolverConfig(c_step=0.2, t_max=1000))
     rows, summary = run_experiment(spec)
     assert all(r["failed"] == 0 for r in rows)

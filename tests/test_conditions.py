@@ -146,6 +146,14 @@ def test_wdc_zero_samples_error():
         wdc_deviation(np.eye(3), samples=0, seed=0)
 
 
+def test_wdc_on_a_matrix_without_columns_is_an_error():
+    # R^0 has no unit vector, and the sampler used to redraw forever
+    with pytest.raises(ValidationError, match="unit vector dimension"):
+        wdc_deviation(np.empty((3, 0)), 2, 0)
+    with pytest.raises(ValidationError, match="unit vector dimension"):
+        unit_vector(sub_rng(0, DOMAIN_SAMPLE), 0)
+
+
 def test_wdc_prefix_max_monotone_and_deterministic():
     w = desk_net().weights[0]
     a40 = wdc_deviation(w, samples=40, seed=7).max_eps
@@ -638,6 +646,12 @@ def test_patterns_validation():
     dep = np.ones((4, 2))
     with pytest.raises(ValidationError):
         pattern_count_exact(np.zeros((3, 4)), dep)
+
+
+def test_patterns_reject_a_matrix_without_rows():
+    # log_bound = ell log(e m / ell) used to raise a bare math domain error
+    with pytest.raises(ValidationError, match="supports 1 to 20 rows, got 0"):
+        pattern_count_exact(np.empty((0, 3)), np.eye(3)[:, :2])
 
 
 def test_patterns_reject_an_overflowing_projection():

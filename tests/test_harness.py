@@ -2,6 +2,8 @@ import argparse
 import concurrent.futures
 from contextlib import redirect_stderr, redirect_stdout
 import csv
+import dataclasses
+import inspect
 import io
 import math
 import multiprocessing
@@ -21,7 +23,7 @@ from gpnet.harness import (ExperimentSpec, _cell_dims, experiment_csv_text,
                            parse_experiment_config, run_cell, run_experiment,
                            summary_csv_text, summary_path_for)
 from gpnet.net import contractive_example_dims, load_net, sample_gaussian_net
-from gpnet.solvers import SolverConfig, make_instance
+from gpnet.solvers import INSTANCE_ARGS, SOLVER_ARGS, SolverConfig, make_instance
 
 
 CONFIG = """
@@ -69,7 +71,7 @@ def test_config_full_roundtrip():
     assert spec.seeds == tuple(range(3))
     assert spec.dims == (8, 250, 600)
     assert spec.net_seed == 11
-    assert spec.eta_norm == 0.1
+    assert dict(spec.instance) == {"eta_norm": 0.1}
     assert spec.solver.c_step == 0.2
     assert spec.solver.t_max == 300
     assert spec.out == "smoke.csv"
@@ -81,7 +83,7 @@ def test_config_defaults_come_from_the_spec():
     text = text.replace("seed = 11\n", "")
     spec = parse_experiment_config(text)
     assert spec.solver == SolverConfig()
-    assert spec.sigma == 0.0 and spec.m is None and spec.eta_norm is None
+    assert dict(spec.instance) == {}
     assert spec.net_seed == 0
 
 
@@ -151,11 +153,11 @@ def test_config_net_takes_dims_or_recipe_not_both():
 
 def test_spec_rejects_m_for_kinds_without_sensing_matrix():
     for kind in ("DEN", "SPIKED_WISHART", "SPIKED_WIGNER"):
-        for over in (dict(sweep_axis="m", sweep_values=(10, 20)), dict(m=50)):
+        for over in (dict(sweep_axis="m", sweep_values=(10, 20)), dict(instance={"m": 50})):
             with pytest.raises(ValidationError, match="m is only for"):
                 small_spec(kind=kind, **over)
     for kind in ("CS", "PR"):
-        assert small_spec(kind=kind, m=50).m == 50
+        assert dict(small_spec(kind=kind, instance={"m": 50}).instance) == {"m": 50}
 
 
 def test_config_rejects_m_sweep_for_den():
@@ -219,7 +221,7 @@ def test_instance_arguments_follow_the_kind_table(kind, args, tmp_path, capsys):
     if "eta" in args:  # neither a config nor the command line can give eta
         return
     spec_args = dict(kind=kind, sweep_axis="width", sweep_values=(20, 30),
-                     dims=(4, 20, 10), **given)
+                     dims=(4, 20, 10), instance=given)
     argv = ["solve", "--dims", "4,20,10", "--kind", kind, "--t-max", "1",
             "--out", str(tmp_path / "trace.csv")]
     for a, v in given.items():
@@ -259,7 +261,8 @@ def test_sigma_sweep_over_eta_norm_is_rejected_before_any_cell(tmp_path, capsys,
     assert not out.exists()
     # a sigma sweep alone, and one value of sigma = 0 beside eta_norm, still parse
     assert parse_experiment_config(den.replace("eta_norm = 0.1", "")).sweep_axis == "sigma"
-    assert parse_experiment_config(den.replace("0.0, 0.1", "0.0")).eta_norm == 0.1
+    assert dict(parse_experiment_config(den.replace("0.0, 0.1", "0.0")).instance) == {
+        "eta_norm": 0.1}
 
 
 _DEN_SIGMA = (("kind = CS", "kind = DEN"), ("sweep = m", "sweep = sigma"),
@@ -267,10 +270,16 @@ _DEN_SIGMA = (("kind = CS", "kind = DEN"), ("sweep = m", "sweep = sigma"),
 # (ExperimentSpec overrides of small_spec, config edits or None, the error)
 UNBUILDABLE_GRIDS = [
     # the sweep would replace the given value in every cell
-    (dict(sigma=0.3), _DEN_SIGMA[:2] + (("eta_norm = 0.1", "sigma = 0.3"),
-                                        ("values = 100, 200", "values = 0.0, 0.1")),
+    (dict(instance={"sigma": 0.3}),
+     _DEN_SIGMA[:2] + (("eta_norm = 0.1", "sigma = 0.3"),
+                       ("values = 100, 200", "values = 0.0, 0.1")),
      "sigma is swept, so it must not also be given, got sigma = 0.3"),
-    (dict(kind="CS", sweep_axis="m", sweep_values=(10, 20), m=50),
+    # a given sigma of 0 used to pass as the spec's default and run
+    (dict(instance={"sigma": 0.0}),
+     _DEN_SIGMA[:2] + (("eta_norm = 0.1", "sigma = 0"),
+                       ("values = 100, 200", "values = 0.0, 0.1")),
+     "sigma is swept, so it must not also be given, got sigma = 0.0"),
+    (dict(kind="CS", sweep_axis="m", sweep_values=(10, 20), instance={"m": 50}),
      (("eta_norm = 0.1", "eta_norm = 0.1\nm = 50"),),
      "m is swept, so it must not also be given, got m = 50"),
     # no cell could build its instance
@@ -290,19 +299,27 @@ UNBUILDABLE_GRIDS = [
     (dict(sweep_values=(math.nan,)), None, "sigma must be finite and nonnegative, got nan"),
     (dict(kind="CS", sweep_axis="m", sweep_values=(0, 10)),
      (("values = 100, 200", "values = 0, 100"),), "m must be an integer >= 1, got 0"),
+    # every cell would hand make_instance a keyword it does not take, None too
+    (dict(instance={"mm": 1}), None, "mm is not an instance argument"),
+    (dict(instance={"mm": None}), None, "mm is not an instance argument"),
+    # eta's shape depends on each cell's n_out, so a spec cannot share one
+    (dict(sweep_axis="depth", sweep_values=(2, 1), instance={"eta": np.zeros(30)}), None,
+     "eta is not an instance argument"),
 ]
 
 
 @pytest.mark.parametrize("over,edits,error", UNBUILDABLE_GRIDS, ids=[
-    "sigma-given-and-swept", "m-given-and-swept", "CS-without-m", "PR-without-m",
-    "SPIKED_WISHART-without-n_samples", "negative-sigma", "nan-sigma", "zero-m"])
+    "sigma-given-and-swept", "sigma-zero-given-and-swept", "m-given-and-swept",
+    "CS-without-m", "PR-without-m", "SPIKED_WISHART-without-n_samples", "negative-sigma",
+    "nan-sigma", "zero-m", "unknown-instance-argument", "unknown-instance-argument-none",
+    "eta-in-a-spec"])
 def test_unbuildable_grids_are_rejected_before_any_cell(over, edits, error, tmp_path,
                                                         capsys, monkeypatch):
     # these used to run, dropping the given value or failing in the first cell
     with pytest.raises(ValidationError) as exc:
         small_spec(**over)
     assert str(exc.value) == error
-    if edits is None:  # a config cannot give a nan value
+    if edits is None:  # a config cannot give a nan value or an unknown key
         return
 
     def no_run(*args, **kwargs):
@@ -320,6 +337,20 @@ def test_unbuildable_grids_are_rejected_before_any_cell(over, edits, error, tmp_
     assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
+
+
+def test_spec_instance_is_fixed_when_built():
+    # the checked mapping is kept as pairs, so no cell sees a value that
+    # the spec did not check; None gives nothing, as in make_instance
+    width = dict(sweep_axis="width", sweep_values=(20, 30))
+    given = {"eta_norm": 0.1, "m": None}
+    spec = small_spec(**width, instance=given)
+    given["sigma"] = -1.0
+    assert spec.instance == (("eta_norm", 0.1),)
+    assert hash(spec) == hash(small_spec(**width, instance={"eta_norm": 0.1}))
+    with pytest.raises(TypeError):
+        spec.instance["eta_norm"] = 0.2
+    assert small_spec(instance={"sigma": None}).instance == ()
 
 
 @pytest.mark.parametrize("kind,sigma,more", [
@@ -367,6 +398,26 @@ def test_zero_signal_cells_are_failed_and_left_out_of_the_summary():
         assert 0 < s["failed"] < s["cells"]
         assert all(math.isfinite(s[q]) for q in ("signal_err_q1", "signal_err_median",
                                                  "signal_err_q3", "latent_err_median"))
+
+
+def test_instance_and_solver_arguments_are_declared_once():
+    # make_instance, SolverConfig, the solve flags and the INI keys all
+    # follow the two tables in gpnet.solvers, so none can gain an argument
+    # that the others miss
+    instance_kw = [p.name for p in inspect.signature(make_instance).parameters.values()
+                   if p.kind is p.KEYWORD_ONLY and p.name not in ("x_star", "eta", "seed")]
+    assert instance_kw == list(INSTANCE_ARGS)
+    solver_fields = [f.name for f in dataclasses.fields(SolverConfig)
+                     if f.name not in ("x0", "seed")]
+    assert solver_fields == list(SOLVER_ARGS)
+    assert {k: SolverConfig.__annotations__[k] for k in SOLVER_ARGS} == SOLVER_ARGS
+    # test_cli_surface_is_pinned holds the parser to CLI_SURFACE
+    other = {"net", "dims", "recipe", "net_seed", "seed", "out", "kind", "trace_stride",
+             "help"}
+    assert {dest: kind for dest, kind, _, _ in CLI_SURFACE["solve"].values()
+            if dest not in other} == INSTANCE_ARGS | SOLVER_ARGS
+    assert harness._INI_KEYS["instance"] is INSTANCE_ARGS
+    assert harness._INI_KEYS["solver"] is SOLVER_ARGS
 
 
 def test_spec_rejects_a_solver_seed():
@@ -669,7 +720,7 @@ def test_cell_net_reuse_holds_one_net():
 @pytest.mark.parametrize("over", [
     # sigma = 0 cells skip the Wishart noise draw
     dict(kind="SPIKED_WISHART", sweep_values=(0.1, 0.0, 0.05), dims=(4, 100, 200),
-         n_samples=200),
+         instance={"n_samples": 200}),
     # every width needs its own net, so a reused one would show
     dict(sweep_axis="width", sweep_values=(30, 20, 40)),
 ])

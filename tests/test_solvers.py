@@ -87,6 +87,32 @@ def test_make_instance_rejects_non_finite_noise():
             make_instance("DEN", net, eta_norm=eta_norm)
 
 
+def test_make_instance_rejects_noise_that_is_not_a_real_number():
+    # math.isfinite("0.1") used to raise a bare TypeError
+    net = small_net()
+    for name in ("sigma", "eta_norm"):
+        for bad in ("0.1", [0.1], np.array([0.1]), 10 ** 400):
+            with pytest.raises(ValidationError) as exc:
+                make_instance("DEN", net, **{name: bad})
+            assert str(exc.value) == f"{name} must be finite and nonnegative, got {bad!r}"
+        # a real scalar of any type builds what its float builds
+        for good in (np.array(0.1), np.float32(0.25), 1):
+            assert make_instance("DEN", net, seed=3, **{name: good}) \
+                == make_instance("DEN", net, seed=3, **{name: float(good)})
+
+
+def test_make_instance_takes_none_as_not_given():
+    # sigma = None used to reach float(None); it gives nothing, as m = None does
+    net = small_net()
+    for kind, kwargs in (("DEN", {}), ("SPIKED_WISHART", {"n_samples": 40}),
+                         ("SPIKED_WIGNER", {})):
+        omitted = make_instance(kind, net, seed=3, **kwargs)
+        assert make_instance(kind, net, seed=3, sigma=None, **kwargs) == omitted
+        assert make_instance(kind, net, seed=3, sigma=0.0, **kwargs) == omitted
+    assert make_instance("DEN", net, seed=3, sigma=None, eta_norm=None, m=None,
+                         n_samples=None, eta=None) == make_instance("DEN", net, seed=3)
+
+
 def test_wishart_sigma_zero_is_scaled_rank_one():
     net = sample_gaussian_net((6, 200, 400), seed=1)
     inst = make_instance("SPIKED_WISHART", net, sigma=0.0, n_samples=2000, seed=0)
@@ -344,9 +370,9 @@ def test_gaussian_unit_start():
     inst = make_instance("DEN", net, seed=0)
     tr = solve(inst, SolverConfig(t_max=0, seed=9))
     # with t_max = 0 the trace holds only the starting point
-    assert len(tr.iters) == 1 and tr.iters[0] == 0
+    assert len(tr.rows) == 1 and tr.rows[0][0] == 0
     assert abs(np.linalg.norm(tr.final_x) - 1.0) < 1e-12
-    assert tr.final_f == loss(inst, tr.final_x)
+    assert tr.rows[-1][1] == loss(inst, tr.final_x)
 
 
 def test_provided_start_validation():
@@ -364,7 +390,7 @@ def test_negation_fires_from_reflected_start():
     cfg = SolverConfig(c_step=0.2, t_max=50, x0=-inst.x_star)
     tr = solve(inst, cfg)
     assert tr.negations == (0,)
-    assert tr.latent_err[0] == 0.0  # flip lands exactly on x_star
+    assert tr.rows[0][2] == 0.0  # flip lands exactly on x_star
     assert tr.stop_reason == "step_tol"
     assert tr.final_rel_latent_err <= 1e-10
 
@@ -373,7 +399,7 @@ def test_tmax_one_records_two_rows():
     net = small_net()
     inst = make_instance("DEN", net, seed=1)
     tr = solve(inst, SolverConfig(t_max=1, seed=1))
-    assert list(tr.iters) == [0, 1]
+    assert [r[0] for r in tr.rows] == [0, 1]
     assert tr.n_steps == 1
 
 
@@ -817,9 +843,9 @@ def test_trace_csv_roundtrip():
     text = tr.csv_text()
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["iter", "f", "latent_err", "signal_err", "negated"]
-    assert len(rows) == len(tr.iters) + 1
+    assert len(rows) == len(tr.rows) + 1
     back = [float(r[1]) for r in rows[1:]]
-    assert np.array_equal(np.asarray(back), tr.f)
+    assert np.array_equal(np.asarray(back), [r[1] for r in tr.rows])
     # the final row (iter 5) is a stride multiple and is written once
     lines = text.splitlines(keepends=True)
     assert tr.csv_text(5) == "".join(lines[:2] + lines[-1:])
